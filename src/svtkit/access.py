@@ -265,6 +265,19 @@ class SampledVector:
         pos = np.minimum(pos, self._support.size - 1)
         return self._support[pos] + 1
 
+    def sample_counts(self, rng: np.random.Generator, size: int,
+                      batches: int) -> np.ndarray:
+        """``batches`` histograms of ``size`` draws each, one row per batch.
+
+        Column k counts draws of ``support()[k]``.  The cell probabilities
+        are the widths of the intervals ``sample_many`` maps to each index
+        under the same clamped inverse CDF (the last cell absorbs
+        [cdf[-2], 1)), so every row has the distribution of the histogram
+        of ``sample_many(rng, size)``.
+        """
+        edges = np.minimum(np.concatenate(([0.0], self._cdf[:-1], [1.0])), 1.0)
+        return rng.multinomial(size, np.diff(edges), size=batches)
+
     def sample(self, rng: np.random.Generator) -> int:
         return int(self.sample_many(rng, 1)[0])
 

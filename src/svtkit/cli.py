@@ -334,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", required=True)
     p.add_argument("--poly", required=True)
     p.add_argument("--eps", type=float, required=True)
-    _common_flags(p, workers=True)
+    _common_flags(p)
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("sve", help="decide singular value in interval")

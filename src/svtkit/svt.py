@@ -16,10 +16,14 @@ S = 2 A-dagger A - I, whose spectrum lies in [-1, 1].  Both paths
 compute the same operator polynomial.
 
 Randomized layer: a single sample draws j from the sampling-access
-distribution of v and returns w_j m^2 / v_j with w = P(sqrt(A^dag A))u.
-Its mean sits within 7 zeta of v-dagger w and each component has
-variance at most (1 + 7 zeta)^2.  The estimator takes the median over
-batches of sample means, separately for real and imaginary parts.
+distribution of v and returns X_j = w_j m^2 / v_j with
+w = P(sqrt(A^dag A))u.  Its mean sits within 7 zeta of v-dagger w and
+each component has variance at most (1 + 7 zeta)^2.  The estimator
+takes the median over batches of sample means, separately for real and
+imaginary parts.  A batch mean depends on its draws only through how
+often each index was drawn, so each batch is drawn as one multinomial
+histogram over the sampler's support, all batches from one generator
+seeded by the config seed, and its mean is counts @ X / r.
 """
 
 from __future__ import annotations
@@ -283,6 +287,21 @@ def single_sample(A: SparseMatrix, u: QueryVector, v: SampledVector,
     return w_j * (v.m ** 2) / vj
 
 
+def _sample_values_at(A: SparseMatrix, u: QueryVector, v: SampledVector,
+                      P: EvenPolynomial, indices: np.ndarray,
+                      counter: QueryCounter | None = None) -> np.ndarray:
+    """X_j = w_j m^2 / v_j at the drawn 1-based ``indices``.
+
+    Raises InvalidSamplerError if any of them has v_j = 0: the sampler
+    must never emit such an index.
+    """
+    v_ent = v.base.dense()[indices - 1]
+    if np.any(v_ent == 0):
+        raise InvalidSamplerError("sampler emitted an index with zero entry")
+    w = svt_entries(A, u, P, indices, counter=counter)
+    return w * (v.m ** 2) / v_ent
+
+
 def sample_values(A: SparseMatrix, u: QueryVector, v: SampledVector,
                   P: EvenPolynomial, rng: np.random.Generator,
                   count: int) -> np.ndarray:
@@ -290,16 +309,15 @@ def sample_values(A: SparseMatrix, u: QueryVector, v: SampledVector,
 
     Distributionally identical to repeated ``single_sample`` calls: the
     entry values w_j are deterministic in j, so they are computed once
-    per distinct sampled index.
+    per distinct sampled index and gathered by the drawn index.
     """
     idx = v.sample_many(rng, count)
-    uniq, inverse = np.unique(idx, return_inverse=True)
-    v_ent = v.base.dense()[uniq - 1]
-    if np.any(v_ent == 0):
-        raise InvalidSamplerError("sampler emitted an index with zero entry")
-    w = svt_entries(A, u, P, uniq)
-    per_index = w * (v.m ** 2) / v_ent
-    return per_index[inverse]
+    drawn = np.zeros(v.dim, dtype=bool)
+    drawn[idx - 1] = True
+    cells = np.flatnonzero(drawn) + 1
+    table = np.empty(v.dim, dtype=complex)
+    table[cells - 1] = _sample_values_at(A, u, v, P, cells)
+    return table[idx - 1]
 
 
 def _validate_estimate_inputs(A, u, v, P, cfg):
@@ -323,31 +341,25 @@ def estimate_bilinear(A: SparseMatrix, u: QueryVector, v: SampledVector,
                       P: EvenPolynomial, cfg: EstimatorConfig) -> EstimateResult:
     """Estimate v-dagger P(sqrt(A-dagger A)) u to within cfg.eps.
 
-    Draws cfg.batches independent batches of cfg.samples single samples
-    (per-batch RNG streams spawned from cfg.seed, so the result does not
-    depend on execution order), averages within batches and takes the
-    median across batches separately for real and imaginary parts.
-    ||A|| <= 1 is assumed, not checked.
+    Draws cfg.batches independent batches of cfg.samples single samples,
+    each batch as one histogram over v's support from a single generator
+    seeded by cfg.seed.  A batch mean is counts @ X / r with the
+    per-index values X_j = w_j m^2 / v_j, so the cost is
+    O(batches * |supp v|) binomial draws on top of one application of
+    P.  The median across batch means is taken separately for real and
+    imaginary parts.  ||A|| <= 1 is assumed, not checked.
     """
     t0 = time.perf_counter()
     _validate_estimate_inputs(A, u, v, P, cfg)
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.batches)
-    idx = np.empty((cfg.batches, cfg.samples), dtype=np.int64)
-    for k, child in enumerate(children):
-        idx[k] = v.sample_many(np.random.default_rng(child), cfg.samples)
-
-    uniq, inverse = np.unique(idx.ravel(), return_inverse=True)
-    v_ent = v.base.dense()[uniq - 1]
-    if np.any(v_ent == 0):
-        raise InvalidSamplerError("sampler emitted an index with zero entry")
+    rng = np.random.default_rng(cfg.seed)
+    counts = v.sample_counts(rng, cfg.samples, cfg.batches)
+    hit = counts.sum(axis=0) > 0
     counter = QueryCounter()
-    w = svt_entries(A, u, P, uniq, counter=counter)
-    per_index = w * (v.m ** 2) / v_ent
-    samples = per_index[inverse].reshape(cfg.batches, cfg.samples)
-    means = samples.mean(axis=1)
+    X = _sample_values_at(A, u, v, P, v.support()[hit], counter=counter)
+    means = counts[:, hit] @ X / cfg.samples
     z = complex(np.median(means.real), np.median(means.imag))
     return EstimateResult(
         value=z, eps=cfg.eps, fail_prob=cfg.fail_prob, samples=cfg.samples,
         batches=cfg.batches, total_samples=cfg.batches * cfg.samples,
-        unique_indices=int(uniq.size), degree=P.degree, counter=counter,
-        elapsed_s=time.perf_counter() - t0)
+        unique_indices=int(np.count_nonzero(hit)), degree=P.degree,
+        counter=counter, elapsed_s=time.perf_counter() - t0)

@@ -214,6 +214,39 @@ def test_sampler_emits_only_nonzero_entries(rng):
         assert set(np.unique(draws)) <= {2, 4}
 
 
+def test_sample_counts_rows_sum_and_skip_zero_cells(rng):
+    from svtkit.access import SampledVector
+    # one support cell has a zero entry and zero probability; the CDF ends
+    # within 1e-9 of 1 on either side, and the last cell absorbs the rest
+    # of [0, 1).  When the zero cell is last and the CDF passes 1 before
+    # it, sample_many never reaches it, so it must get no counts either.
+    layouts = [([1.0, 0.0, 1.0, 1.0], (1.0, 1.0 - 5e-10, 1.0 + 5e-10)),
+               ([1.0, 1.0, 1.0, 0.0], (1.0, 1.0 + 5e-10))]
+    for vals, scales in layouts:
+        vals = np.array(vals)
+        base = QueryVector(vals / np.sqrt(3))
+        for scale in scales:
+            s = SampledVector(base, [0, 1, 2, 3], vals / 3 * scale, m=1.0,
+                              zeta=1e-8)
+            counts = s.sample_counts(rng, 500, 40)
+            assert counts.shape == (40, 4)
+            assert np.all(counts.sum(axis=1) == 500)
+            assert np.all(counts[:, vals == 0] == 0)
+            assert np.all(counts[:, vals != 0].sum(axis=0) > 0)
+
+
+def test_sample_counts_match_sample_many_histogram(rng):
+    from scipy.stats import chi2_contingency
+    eps = 0.1
+    vals = rng.normal(size=32) + 1j * rng.normal(size=32)
+    for s in (exact_sampler(vals), distorted_sampler(vals, eps / 8, seed=4)):
+        totals = s.sample_counts(rng, 1000, 200).sum(axis=0)
+        hist = np.bincount(s.sample_many(rng, 200_000), minlength=33)[s.support()]
+        assert totals.sum() == hist.sum() == 200_000
+        _, p, _, _ = chi2_contingency(np.vstack([totals, hist]))
+        assert p > 0.001
+
+
 def test_sampled_vector_band_violation_detected(rng):
     from svtkit.access import SampledVector
     base = QueryVector([1.0, 1.0])

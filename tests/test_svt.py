@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from svtkit.access import QueryVector, SparseMatrix, distorted_sampler, exact_sampler
-from svtkit.errors import ConfigError, ShapeError
+from svtkit.errors import ConfigError, InvalidSamplerError, ShapeError
 from svtkit.oracle import exact_bilinear, exact_svt_apply
 from svtkit.polynomial import EvenPolynomial
 from svtkit.rand import (random_even_polynomial, random_sparse_matrix,
@@ -224,8 +224,46 @@ def test_estimate_reproducible(rng):
     v = exact_sampler(random_unit_vector(rng, 16))
     P = random_even_polynomial(rng, 2)
     cfg = EstimatorConfig.for_target(0.2, 0.05, seed=42)
-    assert estimate_bilinear(A, u, v, P, cfg).value == \
-        estimate_bilinear(A, u, v, P, cfg).value
+    first = estimate_bilinear(A, u, v, P, cfg)
+    again = estimate_bilinear(A, u, v, P, cfg)
+    assert first.value == again.value
+    assert first.unique_indices == again.unique_indices
+    assert first.counter == again.counter
+
+
+def test_estimate_unique_indices_counts_hit_cells(rng):
+    A = random_sparse_matrix(rng, 64, 64, 3)
+    u = QueryVector(random_unit_vector(rng, 64))
+    vals = random_unit_vector(rng, 64)
+    vals[32:] *= 1e-4  # cells drawn with probability ~1e-10 each
+    v = exact_sampler(vals / np.linalg.norm(vals))
+    cfg = EstimatorConfig.for_target(0.5, 0.3, seed=8)
+    res = estimate_bilinear(A, u, v, ONE, cfg)
+    counts = v.sample_counts(np.random.default_rng(cfg.seed), cfg.samples,
+                             cfg.batches)
+    hit = np.count_nonzero(counts.sum(axis=0))
+    assert res.unique_indices == hit
+    assert 0 < hit < v.support().size
+
+
+def test_estimate_rejects_drawn_zero_entry(rng, monkeypatch):
+    from svtkit.access import SampledVector
+    A = random_sparse_matrix(rng, 4, 4, 2)
+    base = QueryVector(np.array([1.0, 0.0, 1.0, 1.0]) / np.sqrt(3))
+    v = SampledVector(base, [0, 1, 2, 3], np.array([1.0, 0.0, 1.0, 1.0]) / 3,
+                      m=1.0, zeta=0.0)
+    cfg = EstimatorConfig.for_target(0.5, 0.1, seed=3)
+    estimate_bilinear(A, base, v, ONE, cfg)  # zero cell present, never drawn
+
+    def hits_zero_cell(rng, size, batches):
+        counts = np.zeros((batches, 4), dtype=np.int64)
+        counts[:, 0] = size
+        counts[-1, :2] = size - 1, 1
+        return counts
+
+    monkeypatch.setattr(v, "sample_counts", hits_zero_cell)
+    with pytest.raises(InvalidSamplerError, match="zero entry"):
+        estimate_bilinear(A, base, v, ONE, cfg)
 
 
 def test_estimate_validates_preconditions(rng):
