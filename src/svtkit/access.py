@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConstructionError, ParseError
+from .errors import ConstructionError, ParseError, reject_trailing
 
 __all__ = [
     "QueryVector",
@@ -373,6 +373,7 @@ def load_vector(path) -> np.ndarray:
             out[k] = complex(float(parts[0]), float(parts[1]))
         except ValueError:
             raise ParseError("could not parse floats", line=k + 2) from None
+    reject_trailing(lines, n + 1)
     return out
 
 
@@ -417,6 +418,7 @@ def load_matrix(path) -> SparseMatrix:
             raise ParseError("entries must be in ascending (i, j) order", line=k + 2)
         prev = (i, j)
         entries.append((i, j, val))
+    reject_trailing(lines, nnz + 1)
     try:
         return SparseMatrix.from_entries(nrows, ncols, entries, s=s)
     except (ValueError, IndexError) as exc:

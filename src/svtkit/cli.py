@@ -25,8 +25,8 @@ import numpy as np
 
 from . import access, hamiltonian, kitaev, oracle, rand, svt, sve
 from .access import QueryVector, distorted_sampler, exact_sampler
-from .errors import (ConfigError, ConstructionError, InconsistencyError,
-                     InvalidSamplerError, ParseError, SizeError)
+from .errors import (ConfigError, ConstructionError, InvalidSamplerError,
+                     ParseError, SizeError)
 from .polynomial import load_polynomial
 from .svt import EstimatorConfig, QueryCounter
 
@@ -60,13 +60,11 @@ def _load_sampled(path, zeta: float, seed: int):
     return exact_sampler(values)
 
 
-def _common_flags(p, workers=False):
+def _common_flags(p):
     p.add_argument("--fail-prob", type=float, default=0.01)
     p.add_argument("--zeta", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
-    if workers:
-        p.add_argument("--workers", type=int, default=1)
 
 
 def _cmd_estimate(args) -> int:
@@ -171,19 +169,17 @@ def _cmd_glh_estimate(args) -> int:
     t0 = time.perf_counter()
     problem = _glh_problem(args, "estimate")
     res = hamiltonian.estimate_ground_energy(problem, fail_prob=args.fail_prob,
-                                             seed=args.seed,
-                                             workers=args.workers)
+                                             seed=args.seed)
     print(repr(res.value))
     rep = Report()
     rep.add("command", "glh-estimate")
     rep.add("digest_hamiltonian", _digest(args.hamiltonian))
     rep.add("digest_guide", _digest(args.guide))
-    for name in ("eps", "delta", "fail_prob", "zeta", "seed", "workers"):
+    for name in ("eps", "delta", "fail_prob", "zeta", "seed"):
         rep.add(name, getattr(args, name))
     rep.add("estimate", res.value)
     rep.add("interval_lo", res.interval[0])
     rep.add("interval_hi", res.interval[1])
-    rep.add("case", res.case)
     rep.add("scan_steps", res.scan_steps)
     rep.add("outcomes", ",".join(res.outcomes))
     rep.add("wall_time_s", time.perf_counter() - t0)
@@ -362,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--guide", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    _common_flags(p, workers=True)
+    _common_flags(p)
     p.set_defaults(fn=_cmd_glh_estimate)
 
     p = sub.add_parser("gen-kitaev", help="generate a guided instance from a circuit")
@@ -396,7 +392,7 @@ def main(argv=None) -> int:
             ConstructionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InconsistencyError, InvalidSamplerError) as exc:
+    except InvalidSamplerError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 3
 

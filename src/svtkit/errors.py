@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the loaders' check
+for trailing input."""
 
 
 class ShapeError(ValueError):
@@ -13,6 +14,15 @@ class ParseError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def reject_trailing(lines, used: int):
+    """Raise ParseError at the first non-blank line past the first
+    ``used`` lines, which the header's declared counts account for."""
+    for k in range(used, len(lines)):
+        if lines[k].strip():
+            raise ParseError("unexpected content past the declared count",
+                             line=k + 1)
 
 
 class SizeError(ValueError):

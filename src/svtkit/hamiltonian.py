@@ -10,14 +10,14 @@ The gap-decision problem (is the ground energy below a or above b,
 guided by a vector with ground-space overlap at least delta) reduces to
 a singular-value interval decision for (H + 3I)/4, whose eigenvalues
 and singular values coincide inside [1/2, 1].  Ground-energy estimation
-scans 2r overlapping intervals of width 1/r and returns the midpoint of
-the interval the decisions pin down.
+runs fuzzy bisection: each decision on overlapping windows (a, b)
+around the midpoint of the current interval shrinks it to about half,
+and any answer inside (a, b) is correct, so O(log 1/eps) decisions pin
+lambda_H to within eps/2 with no outcome pattern to check.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .access import SampledVector, SparseMatrix
-from .errors import ConfigError, InconsistencyError, ParseError, SizeError
+from .errors import ConfigError, ParseError, SizeError, reject_trailing
 from .sve import HAS_SV, SveProblem, SveResult, decide_singular_interval
 
 __all__ = [
@@ -254,7 +254,6 @@ class GlhDecision:
 class GlhEstimate:
     value: float
     interval: tuple
-    case: str
     outcomes: list
     scan_steps: int
     decisions: list = field(default_factory=list)
@@ -286,61 +285,53 @@ def decide_glh(problem: GlhProblem, fail_prob: float = 0.01, seed: int = 0,
                            problem.delta, fail_prob, seed, degree_cap)
 
 
-def estimate_ground_energy(problem: GlhProblem, fail_prob: float = 0.05,
-                           seed: int = 0, workers: int = 1,
-                           degree_cap: int = 4096) -> GlhEstimate:
-    """Estimate lambda_H to within eps by a 2r-step interval scan.
+def _bisection_steps(eps: float) -> int:
+    """Decisions until the interval width, 2 at the start and w/2 + eps/4
+    after each step, is at most eps."""
+    width, steps = 2.0, 0
+    while width > eps:
+        width = width / 2.0 + eps / 4.0
+        steps += 1
+    return steps
 
-    Step i decides lambda_H <= (i-r-1)/r versus >= (i-r)/r with failure
-    budget fail_prob / 2r.  Error-free outcomes are all-LOW, all-HIGH,
-    or a block of HIGHs followed by LOWs; anything else raises
-    InconsistencyError (retry with a fresh seed).  r = ceil(2 / eps), so
-    the concluded interval has width at most eps.
+
+def estimate_ground_energy(problem: GlhProblem, fail_prob: float = 0.05,
+                           seed: int = 0,
+                           degree_cap: int = 4096) -> GlhEstimate:
+    """Estimate lambda_H to within eps/2 by fuzzy bisection.
+
+    The interval [lo, hi] starts at [-1, 1].  Each step decides
+    lambda_H <= a = mid - eps/4 (LOW, then hi = b) versus
+    lambda_H >= b = mid + eps/4 (HIGH, then lo = a) with failure budget
+    fail_prob / steps.  Either answer is
+    correct when lambda_H falls inside (a, b), so if every decision is
+    correct the interval keeps lambda_H; the step count is fixed so that
+    its final width is at most eps, and the midpoint is returned.
     """
     if problem.eps is None:
         raise ConfigError("estimation form requires a target precision eps")
-    r = math.ceil(2.0 / problem.eps)
-    steps = 2 * r
+    h = problem.eps / 4.0
+    steps = _bisection_steps(problem.eps)
     per_step_fail = fail_prob / steps
     seeds = np.random.SeedSequence(seed).spawn(steps)
     shifted = assemble_sparse(problem.hamiltonian, shift=True)
 
-    def run(i: int) -> GlhDecision:
-        a_i = (i - r - 1) / r
-        b_i = (i - r) / r
-        return _decide_shifted(shifted, problem.guide, a_i, b_i, problem.delta,
-                               per_step_fail, seeds[i - 1].generate_state(1)[0],
-                               degree_cap)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            decisions = list(pool.map(run, range(1, steps + 1)))
-    else:
-        decisions = [run(i) for i in range(1, steps + 1)]
-    outcomes = [d.decision for d in decisions]
-
-    lead_high = 0
-    for tok in outcomes:
-        if tok == HIGH:
-            lead_high += 1
+    lo, hi = -1.0, 1.0
+    decisions = []
+    for step_seed in seeds:
+        mid = (lo + hi) / 2.0
+        a, b = mid - h, mid + h
+        d = _decide_shifted(shifted, problem.guide, a, b, problem.delta,
+                            per_step_fail, step_seed.generate_state(1)[0],
+                            degree_cap)
+        if d.decision == LOW:
+            hi = b
         else:
-            break
-    if any(tok == HIGH for tok in outcomes[lead_high:]):
-        raise InconsistencyError(
-            f"scan outcomes are not monotone: {outcomes}; one of the "
-            f"{steps} decisions failed, retry with a fresh seed")
-
-    if lead_high == 0:
-        case, lo, hi = "a", -1.0, -1.0 + 1.0 / r
-    elif lead_high == steps:
-        case, lo, hi = "b", 1.0 - 1.0 / r, 1.0
-    else:
-        i0 = lead_high
-        case = "c"
-        lo = max(-1.0, (i0 - r - 1) / r)
-        hi = min(1.0, (i0 - r + 1) / r)
-    return GlhEstimate(value=(lo + hi) / 2.0, interval=(lo, hi), case=case,
-                       outcomes=outcomes, scan_steps=steps, decisions=decisions)
+            lo = a
+        decisions.append(d)
+    return GlhEstimate(value=(lo + hi) / 2.0, interval=(lo, hi),
+                       outcomes=[d.decision for d in decisions],
+                       scan_steps=steps, decisions=decisions)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +394,7 @@ def load_hamiltonian(path) -> LocalHamiltonian:
             terms.append(LocalTerm(qubits, block))
         except ValueError as exc:
             raise ParseError(str(exc), line=ln) from exc
+    reject_trailing(lines, ln)
     try:
         return LocalHamiltonian(n, k, terms)
     except ValueError as exc:

@@ -37,7 +37,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .access import SampledVector, exact_sampler
-from .errors import ParseError, SizeError
+from .errors import ParseError, SizeError, reject_trailing
 from .hamiltonian import LocalHamiltonian, LocalTerm
 
 __all__ = [
@@ -545,6 +545,7 @@ def load_circuit(path) -> Circuit:
                 raise ValueError(f"unknown gate '{name}'")
         except ValueError as exc:
             raise ParseError(str(exc), line=k + 2) from exc
+    reject_trailing(lines, m + 1)
     try:
         return Circuit(n, p, gates)
     except ValueError as exc:

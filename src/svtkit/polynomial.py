@@ -28,7 +28,7 @@ from numpy.polynomial import Polynomial
 from numpy.polynomial.chebyshev import Chebyshev, chebval, cheb2poly, poly2cheb
 from scipy.special import erf, erfinv
 
-from .errors import ConstructionError, ParseError
+from .errors import ConstructionError, ParseError, reject_trailing
 
 __all__ = [
     "EvenPolynomial",
@@ -125,7 +125,6 @@ class OddPolynomial:
         c[0::2] = 0.0  # structural oddness
         self._c = c
         self._c.flags.writeable = False
-        self._monomial = None
 
     @property
     def degree(self) -> int:
@@ -134,21 +133,6 @@ class OddPolynomial:
 
     def cheb(self) -> Chebyshev:
         return Chebyshev(self._c, domain=[-2.0, 2.0])
-
-    def odd_coeffs(self) -> np.ndarray:
-        """Monomial coefficients [b_1, b_3, ...]; warns above degree 30."""
-        if self._monomial is None:
-            if self.degree > MONOMIAL_DEGREE_LIMIT:
-                warnings.warn(
-                    f"monomial conversion at degree {self.degree} is "
-                    f"ill-conditioned",
-                    stacklevel=2,
-                )
-            # P'(x) = H(x/2) with H the series in the mapped variable.
-            h = cheb2poly(self._c)
-            full = h / (2.0 ** np.arange(h.size))
-            self._monomial = full[1::2].copy()
-        return self._monomial.copy()
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -165,8 +149,7 @@ class ThresholdSpec:
 
     Requires theta1 <= t1 <= t2 <= 1 - theta2 and 0 < chi < 1.  The
     degenerate case t1 == t2 (a single-point plateau) is allowed; the
-    interval-scan reduction for ground-energy estimation produces it at
-    its leftmost step.
+    ground-energy gap decision produces it at threshold a = -1.
     """
 
     t1: float
@@ -349,7 +332,7 @@ def _threshold_cache(t1, t2, theta1, theta2, chi, degree_cap, grid):
 def build_threshold_cached(spec: ThresholdSpec,
                            degree_cap: int = DEFAULT_DEGREE_CAP,
                            grid: int = DEFAULT_GRID) -> EvenPolynomial:
-    """Memoized build_threshold; repeated decision scans reuse filters."""
+    """Memoized build_threshold; repeated decisions reuse filters."""
     return _threshold_cache(spec.t1, spec.t2, spec.theta1, spec.theta2,
                             spec.chi, degree_cap, grid)
 
@@ -392,6 +375,7 @@ def load_polynomial(path) -> EvenPolynomial:
             coeffs[k] = float(lines[k + 1])
         except ValueError:
             raise ParseError("could not parse coefficient", line=k + 2) from None
+    reject_trailing(lines, deg + 2)
     if np.any(coeffs[1::2] != 0.0):
         bad = 1 + 2 * int(np.flatnonzero(coeffs[1::2])[0])
         raise ParseError(f"odd coefficient a_{bad} must be zero", line=bad + 2)

@@ -80,6 +80,35 @@ def _check_chain(matrices, u):
             f"chain tail has {matrices[-1].ncols} columns, vector has {u.dim}")
 
 
+def _chain_value(matrices, u_arr: np.ndarray, table: dict | None,
+                 counter: QueryCounter | None):
+    """value(d, idx): entry idx (0-based) of the last d chain matrices
+    applied to u, recursing over row nonzeros.  The matrix at remaining
+    depth d is matrices[len - d]; results are memoized in ``table`` on
+    (d, idx) unless it is None."""
+    n = len(matrices)
+
+    def value(depth: int, idx: int) -> complex:
+        if depth == 0:
+            return u_arr[idx]
+        if table is not None:
+            got = table.get((depth, idx))
+            if got is not None:
+                return got
+        mat = matrices[n - depth]
+        cols, vals = mat.row_nonzeros(idx)
+        if counter is not None:
+            counter.account_row(len(cols), mat.s)
+        acc = 0.0 + 0.0j
+        for c, v in zip(cols, vals):
+            acc += v * value(depth - 1, int(c))
+        if table is not None:
+            table[(depth, idx)] = acc
+        return acc
+
+    return value
+
+
 def chain_entry(matrices, u: QueryVector, i: int, memo: bool = True,
                 counter: QueryCounter | None = None) -> complex:
     """i-th entry (1-based) of B1 B2 ... Br u for s-sparse B's.
@@ -91,29 +120,8 @@ def chain_entry(matrices, u: QueryVector, i: int, memo: bool = True,
     _check_chain(matrices, u)
     if not 1 <= i <= matrices[0].nrows:
         raise IndexError(f"index {i} out of range [1, {matrices[0].nrows}]")
-    u_arr = u.dense()
-    table: dict | None = {} if memo else None
-
-    def value(level: int, idx: int) -> complex:
-        # idx is 0-based; level counts matrices still to apply from position level.
-        if level == len(matrices):
-            return u_arr[idx]
-        if table is not None:
-            got = table.get((level, idx))
-            if got is not None:
-                return got
-        mat = matrices[level]
-        cols, vals = mat.row_nonzeros(idx)
-        if counter is not None:
-            counter.account_row(len(cols), mat.s)
-        acc = 0.0 + 0.0j
-        for c, v in zip(cols, vals):
-            acc += v * value(level + 1, int(c))
-        if table is not None:
-            table[(level, idx)] = acc
-        return acc
-
-    return complex(value(0, i - 1))
+    value = _chain_value(matrices, u.dense(), {} if memo else None, counter)
+    return complex(value(len(matrices), i - 1))
 
 
 def _contraction(A: SparseMatrix) -> sp.csr_matrix:
@@ -164,30 +172,12 @@ def svt_entry(A: SparseMatrix, u: QueryVector, P: EvenPolynomial, i: int,
 
 
 def _svt_entry_monomial(A, u, P, i, counter=None) -> complex:
+    # the suffix of length 2r of [Adag, A] * d is [Adag, A] * r, so one
+    # memo serves every power
     a = P.monomial_even()
     d = a.size - 1
     u_arr = u.dense()
-    adj = A.adjoint()
-    table: dict = {}
-
-    def value(depth: int, idx: int) -> complex:
-        # depth = number of chain matrices still to apply; the alternating
-        # suffix of [Adag, A] * r starts with A at odd depth, Adag at even.
-        if depth == 0:
-            return u_arr[idx]
-        got = table.get((depth, idx))
-        if got is not None:
-            return got
-        mat = A if depth % 2 == 1 else adj
-        cols, vals = mat.row_nonzeros(idx)
-        if counter is not None:
-            counter.account_row(len(cols), mat.s)
-        acc = 0.0 + 0.0j
-        for c, v in zip(cols, vals):
-            acc += v * value(depth - 1, int(c))
-        table[(depth, idx)] = acc
-        return acc
-
+    value = _chain_value([A.adjoint(), A] * d, u_arr, {}, counter)
     total = a[0] * u_arr[i - 1]
     for r in range(1, d + 1):
         if a[r] != 0.0:

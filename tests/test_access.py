@@ -287,3 +287,42 @@ def test_loaders_report_line_numbers(tmp_path):
     path2.write_text("2 2 2 2\n1 2 1.0 0.0\n1 1 1.0 0.0\n")
     with pytest.raises(ParseError, match="ascending"):
         load_matrix(path2)
+
+
+def _save_each_format(kind, path):
+    from svtkit.hamiltonian import LocalHamiltonian, LocalTerm, save_hamiltonian
+    from svtkit.kitaev import GATES, Circuit, Gate, save_circuit
+    from svtkit.polynomial import EvenPolynomial, save_polynomial
+    z = np.diag([1.0, -1.0]).astype(complex)
+    if kind == "vector":
+        save_vector(path, [1.0, 2j])
+    elif kind == "matrix":
+        save_matrix(path, SparseMatrix.from_entries(
+            2, 2, [(1, 1, 0.5), (2, 1, 0.25j)], s=2))
+    elif kind == "polynomial":
+        save_polynomial(path, EvenPolynomial.from_even_coeffs([0.3, 0.5]))
+    elif kind == "hamiltonian":
+        save_hamiltonian(path, LocalHamiltonian(1, 1, [LocalTerm((1,), z)]))
+    else:
+        save_circuit(path, Circuit(1, 1, [Gate("X", (2,), GATES["X"])]))
+
+
+@pytest.mark.parametrize("kind", ["vector", "matrix", "polynomial",
+                                  "hamiltonian", "circuit"])
+def test_loaders_reject_lines_past_declared_count(tmp_path, kind):
+    from svtkit.hamiltonian import load_hamiltonian
+    from svtkit.kitaev import load_circuit
+    from svtkit.polynomial import load_polynomial
+    load = {"vector": load_vector, "matrix": load_matrix,
+            "polynomial": load_polynomial, "hamiltonian": load_hamiltonian,
+            "circuit": load_circuit}[kind]
+    path = tmp_path / kind
+    _save_each_format(kind, path)
+    text = path.read_text()
+    used = len(text.splitlines())
+    load(path)
+    path.write_text(text + "\n  \n")  # trailing blank lines are fine
+    load(path)
+    path.write_text(text + "\n0.0 0.0\n")
+    with pytest.raises(ParseError, match=f"line {used + 2}:"):
+        load(path)

@@ -120,19 +120,36 @@ def test_gen_kitaev_then_glh_decide(capsys, tmp_path):
     assert out.splitlines()[0] == "LOW"
 
 
-def test_glh_estimate_cli(capsys, tmp_path):
+@pytest.fixture
+def glh_estimate_argv(tmp_path):
     from svtkit.hamiltonian import LocalHamiltonian, LocalTerm, save_hamiltonian
     Z = np.diag([1.0, -1.0]).astype(complex)
     ham_path = tmp_path / "mz.ham"
     save_hamiltonian(ham_path, LocalHamiltonian(1, 1, [LocalTerm((1,), -Z)]))
     guide_path = tmp_path / "g.vec"
     save_vector(guide_path, np.array([1.0, 0.0]))  # -Z ground is |0>
-    code, out, _ = run_cli(
-        capsys, "glh-estimate", "--hamiltonian", str(ham_path), "--guide",
-        str(guide_path), "--eps", "0.5", "--delta", "0.9", "--fail-prob",
-        "0.05", "--seed", "2")
+    return ["glh-estimate", "--hamiltonian", str(ham_path), "--guide",
+            str(guide_path), "--eps", "0.5", "--delta", "0.9", "--fail-prob",
+            "0.05", "--seed", "2"]
+
+
+def test_glh_estimate_cli(capsys, glh_estimate_argv):
+    code, out, _ = run_cli(capsys, *glh_estimate_argv)
     assert code == 0
     assert abs(float(out.splitlines()[0]) - (-1.0)) <= 0.5
+
+
+def test_glh_estimate_report(capsys, glh_estimate_argv):
+    code1, out1, _ = run_cli(capsys, *glh_estimate_argv)
+    code2, out2, _ = run_cli(capsys, *glh_estimate_argv)
+    assert code1 == code2 == 0
+    assert strip_timing(out1) == strip_timing(out2)
+    keys = [ln.split("=", 1)[0] for ln in out1.splitlines()[1:]]
+    assert "workers" not in keys and "case" not in keys
+    assert "scan_steps=3" in out1.splitlines()
+    with pytest.raises(SystemExit):
+        cli.main(glh_estimate_argv + ["--workers", "4"])
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
 def test_oracle_check_pass_and_fail(capsys, tmp_path):
