@@ -13,6 +13,8 @@ after construction; RNGs are passed per call, never stored.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -66,22 +68,27 @@ class SparseMatrix:
     """s-sparse complex matrix with dual row/column nonzero indexes.
 
     Both a row-ordered (CSR) and a column-ordered (CSC) index are kept so
-    the l-th nonzero of any row or column is a constant-size slice lookup.
-    Nonzeros within a row (column) are in ascending column (row) order.
+    the l-th nonzero of any row or column is a constant-size slice lookup;
+    the CSC index is built on the first column access.  Nonzeros within a
+    row (column) are in ascending column (row) order.
     """
 
     def __init__(self, csr: sp.csr_matrix, s: int):
         self._csr = csr
-        self._csc = csr.tocsc()
-        self._csc.sort_indices()
         self._s = int(s)
         self._validate()
+
+    @cached_property
+    def _csc(self) -> sp.csc_matrix:
+        csc = self._csr.tocsc()
+        csc.sort_indices()
+        return csc
 
     def _validate(self):
         if self._csr.nnz != np.count_nonzero(self._csr.data):
             raise ValueError("stored values must all be nonzero")
         row_counts = np.diff(self._csr.indptr)
-        col_counts = np.diff(self._csc.indptr)
+        col_counts = np.bincount(self._csr.indices, minlength=self.ncols)
         worst = max(row_counts.max(initial=0), col_counts.max(initial=0))
         if worst > self._s:
             raise ValueError(
@@ -126,7 +133,7 @@ class SparseMatrix:
         csr.sort_indices()
         if s is None:
             row_counts = np.diff(csr.indptr)
-            col_counts = np.diff(csr.tocsc().indptr)
+            col_counts = np.bincount(csr.indices, minlength=csr.shape[1])
             s = max(row_counts.max(initial=0), col_counts.max(initial=0))
         return cls(csr, s)  # s == 0 encodes the zero matrix
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .access import SampledVector, SparseMatrix
 from .errors import ConfigError, ParseError, SizeError, reject_trailing
@@ -167,6 +166,8 @@ class LocalHamiltonian:
         if self.n <= DENSE_QUBIT_CAP:
             w = np.linalg.eigvalsh(self.to_dense())
             return float(max(abs(w[0]), abs(w[-1])))
+        import scipy.sparse.linalg as spla  # only this branch needs Lanczos
+
         csr = self.assemble_csr()
         hi = spla.eigsh(csr, k=1, which="LA", return_eigenvectors=False)[0]
         lo = spla.eigsh(csr, k=1, which="SA", return_eigenvectors=False)[0]

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .access import SampledVector, exact_sampler
 from .errors import ParseError, SizeError, reject_trailing
@@ -328,6 +327,8 @@ def _extremal_eigs(csr: sp.csr_matrix):
     if csr.shape[0] <= DENSE_EIG_CAP:
         w = np.linalg.eigvalsh(csr.toarray())
         return float(w[0]), float(w[-1])
+    import scipy.sparse.linalg as spla  # only this branch needs Lanczos
+
     lo = spla.eigsh(csr, k=1, which="SA", return_eigenvectors=False)[0]
     hi = spla.eigsh(csr, k=1, which="LA", return_eigenvectors=False)[0]
     return float(lo), float(hi)

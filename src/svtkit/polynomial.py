@@ -4,9 +4,10 @@ The central object is an even real polynomial P with |P(x)| <= 1 on
 [-1, 1] that sits near 1 on a target interval [t1, t2] and near 0 on
 [0, t1 - theta1] and [t2 + theta2, 1].  It is assembled from two odd
 sign approximations (truncated Chebyshev expansions of an error
-function whose steepness is set by the transition width), shifted,
-averaged and symmetrized.  Every construction is certified on a grid;
-nothing is trusted from the analytic derivation alone.
+function whose steepness is set by the transition width), shifted and
+averaged; the even part of the sum is interpolated exactly in 2x^2 - 1.
+Every construction is certified on a grid; nothing is trusted from the
+analytic derivation alone.
 
 Polynomials are stored in the Chebyshev basis for numerical stability.
 An even polynomial of degree 2d is kept as the coefficients c_r of
@@ -25,7 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from numpy.polynomial.chebyshev import Chebyshev, chebval, cheb2poly, poly2cheb
+from numpy.polynomial.chebyshev import (Chebyshev, chebinterpolate, chebval,
+                                        cheb2poly, poly2cheb)
 from scipy.special import erf, erfinv
 
 from .errors import ConstructionError, ParseError, reject_trailing
@@ -198,6 +200,7 @@ def _certify_sign_boxes(poly_cheb, eta, xi, grid):
     return max(sup, plateau)
 
 
+@lru_cache(maxsize=64)
 def build_sign_approx(eta: float, xi: float, degree_cap: int = DEFAULT_DEGREE_CAP,
                       grid: int = DEFAULT_GRID) -> OddPolynomial:
     """Odd polynomial close to sign(x) away from the origin.
@@ -206,6 +209,8 @@ def build_sign_approx(eta: float, xi: float, degree_cap: int = DEFAULT_DEGREE_CA
     and in [-1, -1+xi] on [-2, -eta], certified on a grid.  Built as a
     truncated Chebyshev expansion of erf(k x) with k set from eta, with
     the degree doubled on certification failure up to ``degree_cap``.
+    Memoized on (eta, xi, degree_cap, grid): repeat calls share one
+    read-only result.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -240,23 +245,32 @@ def build_sign_approx(eta: float, xi: float, degree_cap: int = DEFAULT_DEGREE_CA
         n = 2 * n_try
 
 
-def _symmetrize(q: Chebyshev, xi: float) -> np.ndarray:
-    """Coefficients c_r of (Q(x) + Q(-x)) / (1 + xi) as T_r(2x^2-1)."""
-    coef = q.coef
-    signs = np.where(np.arange(coef.size) % 2 == 0, 1.0, -1.0)
-    p = (coef + signs * coef) / (1.0 + xi)
-    return p[0::2].copy()
-
-
-def _combine(p1: OddPolynomial, p2: OddPolynomial, spec: ThresholdSpec,
-             xi: float) -> Chebyshev:
+def _shifted_sum(p1: OddPolynomial, p2: OddPolynomial, spec: ThresholdSpec,
+                 xi: float):
     """The intermediate Q(x) = (1-xi)(P1'(x-t1+th1/2) + P2'(-x+t2+th2/2))/2 + xi
-    re-expanded as a Chebyshev series on [-1, 1]."""
+    as a callable."""
     c1 = spec.t1 - spec.theta1 / 2.0
     c2 = spec.t2 + spec.theta2 / 2.0
-    left = Chebyshev(p1._c, domain=[c1 - 2.0, c1 + 2.0]).convert(domain=[-1.0, 1.0])
-    right = Chebyshev(p2._c, domain=[c2 + 2.0, c2 - 2.0]).convert(domain=[-1.0, 1.0])
-    return (1.0 - xi) * (left + right) / 2.0 + xi
+    return lambda x: (1.0 - xi) * (p1(x - c1) + p2(c2 - x)) / 2.0 + xi
+
+
+def _even_interpolant(p1: OddPolynomial, p2: OddPolynomial,
+                      spec: ThresholdSpec, xi: float) -> np.ndarray:
+    """Coefficients c_r of (Q(x) + Q(-x)) / (1 + xi) as T_r(2x^2-1).
+
+    With n the larger sign-approximation degree, the even part of Q has
+    degree at most n - 1, so G(w) = (Q(x) + Q(-x)) / (1 + xi) at
+    x = sqrt((w + 1) / 2) is a polynomial of degree n // 2 in w, and
+    interpolating it at n // 2 + 1 Chebyshev points is exact up to
+    rounding.
+    """
+    q = _shifted_sum(p1, p2, spec, xi)
+
+    def g(w):
+        x = np.sqrt((w + 1.0) / 2.0)
+        return (q(x) + q(-x)) / (1.0 + xi)
+
+    return chebinterpolate(g, max(p1.degree, p2.degree) // 2)
 
 
 def verify_threshold(P: EvenPolynomial, spec: ThresholdSpec,
@@ -293,10 +307,11 @@ def build_threshold(spec: ThresholdSpec, degree_cap: int = DEFAULT_DEGREE_CAP,
     """Certified even threshold polynomial for ``spec``.
 
     Two odd sign approximations (transition widths theta1/2 and theta2/2)
-    are shifted to the interval edges, averaged and symmetrized, then
-    sup-normalized over [-1, 1].  The internal sign-approximation
-    accuracy starts at chi/3 and is tightened if the final certificate
-    fails.  Raises ConstructionError when no attempt certifies.
+    are shifted to the interval edges and averaged; the even part of that
+    sum is interpolated exactly in w = 2x^2 - 1, then sup-normalized over
+    [-1, 1].  The internal sign-approximation accuracy starts at chi/3 and
+    is tightened if the final certificate fails.  Raises ConstructionError
+    when no attempt certifies.
     """
     last_report = None
     xi = spec.chi / 3.0
@@ -306,8 +321,7 @@ def build_threshold(spec: ThresholdSpec, degree_cap: int = DEFAULT_DEGREE_CAP,
         p1 = build_sign_approx(eta1, xi, degree_cap=degree_cap, grid=grid)
         p2 = p1 if eta2 == eta1 else build_sign_approx(
             eta2, xi, degree_cap=degree_cap, grid=grid)
-        q = _combine(p1, p2, spec, xi)
-        cr = _symmetrize(q, xi)
+        cr = _even_interpolant(p1, p2, spec, xi)
         xs = np.linspace(0.0, 1.0, grid)  # even: [0,1] determines the sup
         sup = np.abs(chebval(2.0 * xs * xs - 1.0, cr)).max()
         if sup > 1.0:
@@ -338,18 +352,26 @@ def build_threshold_cached(spec: ThresholdSpec,
 
 
 # ---------------------------------------------------------------------------
-# Text format: header "EVEN 2d", then the 2d+1 monomial coefficients
-# a_0 ... a_{2d} one per line (odd positions must be zero).
+# Text formats.  "EVEN 2d", then the 2d+1 monomial coefficients a_0 ... a_{2d}
+# one per line (odd positions must be zero); or "EVEN_CHEB 2d", then the d+1
+# coefficients c_0 ... c_d of P(x) = sum_r c_r T_r(2 x^2 - 1) one per line.
 # ---------------------------------------------------------------------------
 
 
 def save_polynomial(path, P: EvenPolynomial):
-    a_even = P.monomial_even()
-    full = np.zeros(2 * (a_even.size - 1) + 1)
-    full[0::2] = a_even
+    """Write ``P`` as EVEN when it carries monomial coefficients of degree
+    at most 30, else as EVEN_CHEB, which stays exact at any degree."""
+    if P.has_monomial() and P.degree <= MONOMIAL_DEGREE_LIMIT:
+        a_even = P.monomial_even()
+        coeffs = np.zeros(2 * (a_even.size - 1) + 1)
+        coeffs[0::2] = a_even
+        head = f"EVEN {coeffs.size - 1}"
+    else:
+        coeffs = P.cheb_even()
+        head = f"EVEN_CHEB {P.degree}"
     with open(path, "w") as fh:
-        fh.write(f"EVEN {full.size - 1}\n")
-        for a in full:
+        fh.write(head + "\n")
+        for a in coeffs:
             fh.write(f"{float(a)!r}\n")
 
 
@@ -359,23 +381,29 @@ def load_polynomial(path) -> EvenPolynomial:
     if not lines:
         raise ParseError("empty polynomial file", line=1)
     head = lines[0].split()
-    if len(head) != 2 or head[0] != "EVEN":
-        raise ParseError("header must be 'EVEN <degree>'", line=1)
+    if len(head) != 2 or head[0] not in ("EVEN", "EVEN_CHEB"):
+        raise ParseError("header must be 'EVEN <degree>' or "
+                         "'EVEN_CHEB <degree>'", line=1)
     try:
         deg = int(head[1])
     except ValueError:
         raise ParseError("degree must be an integer", line=1) from None
     if deg % 2 != 0 or deg < 0:
         raise ParseError("degree must be even and nonnegative", line=1)
-    if len(lines) < deg + 2:
-        raise ParseError(f"expected {deg + 1} coefficient lines", line=len(lines))
-    coeffs = np.empty(deg + 1)
-    for k in range(deg + 1):
+    count = deg + 1 if head[0] == "EVEN" else deg // 2 + 1
+    if len(lines) < count + 1:
+        raise ParseError(f"expected {count} coefficient lines", line=len(lines))
+    coeffs = np.empty(count)
+    for k in range(count):
         try:
             coeffs[k] = float(lines[k + 1])
         except ValueError:
             raise ParseError("could not parse coefficient", line=k + 2) from None
-    reject_trailing(lines, deg + 2)
+        if not math.isfinite(coeffs[k]):
+            raise ParseError("coefficient must be finite", line=k + 2)
+    reject_trailing(lines, count + 1)
+    if head[0] == "EVEN_CHEB":
+        return EvenPolynomial(coeffs)
     if np.any(coeffs[1::2] != 0.0):
         bad = 1 + 2 * int(np.flatnonzero(coeffs[1::2])[0])
         raise ParseError(f"odd coefficient a_{bad} must be zero", line=bad + 2)

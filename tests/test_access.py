@@ -89,6 +89,31 @@ def test_construction_rejects_bad_input():
         SparseMatrix.from_entries(2, 2, [(3, 1, 1.0)])
 
 
+def test_column_sparsity_violation_rejected_at_construction():
+    import scipy.sparse as sp
+    # every row holds one nonzero, column 1 holds three
+    csr = sp.csr_matrix(np.array([[1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]]))
+    with pytest.raises(ValueError, match="3 nonzeros > s=1"):
+        SparseMatrix(csr, 1)
+    with pytest.raises(ValueError, match="sparsity"):
+        SparseMatrix.from_dense(csr.toarray(), s=2)
+
+
+def test_column_index_built_only_on_column_access(rng):
+    from svtkit.polynomial import EvenPolynomial
+    from svtkit.rand import random_sparse_matrix
+    from svtkit.svt import svt_entries
+    A = random_sparse_matrix(rng, 8, 8, 2)
+    A.csr()
+    svt_entries(A, QueryVector(np.ones(8)), EvenPolynomial([0.5, 0.25]), [1, 5])
+    assert "_csc" not in A.__dict__
+    dense = A.to_dense()
+    rows, vals = A.col_nonzeros(2)
+    assert "_csc" in A.__dict__
+    assert np.array_equal(rows, np.flatnonzero(dense[:, 2]))
+    assert np.array_equal(vals, dense[rows, 2])
+
+
 def test_sparsity_invariant_holds(rng):
     from svtkit.rand import random_sparse_matrix
     for trial in range(5):

@@ -18,6 +18,31 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
+def test_import_leaves_lanczos_module_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import svtkit
+    env = dict(os.environ)
+    src = str(Path(svtkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, svtkit; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_operator_norm_lanczos_branch():
+    # n = 13 is past the dense cap, so the norm comes from Lanczos; the
+    # block's eigenvalues are +-0.7 and +-0.1
+    assert ham.DENSE_QUBIT_CAP < 13
+    block = 0.3 * np.kron(Z, Z) + 0.4 * np.kron(X, X)
+    H = LocalHamiltonian(13, 2, [LocalTerm((4, 9), block)])
+    assert abs(H.operator_norm() - 0.7) < 1e-9
+
+
 def test_local_term_validation():
     with pytest.raises(ValueError, match="Hermitian"):
         LocalTerm((1,), np.array([[0, 1], [0, 0]], dtype=complex))

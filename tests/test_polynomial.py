@@ -1,11 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from svtkit.errors import ConstructionError
-from svtkit.polynomial import (EvenPolynomial, ThresholdSpec, _combine,
+from svtkit.errors import ConstructionError, ParseError
+from svtkit.polynomial import (EvenPolynomial, ThresholdSpec,
+                               _even_interpolant, _shifted_sum,
                                build_sign_approx, build_threshold,
                                load_polynomial, save_polynomial,
                                verify_threshold)
@@ -116,13 +120,43 @@ def test_combination_intermediate_bounds():
     # [0, 3 xi / 2] on the outer regions
     xi = SPEC.chi / 3.0
     p1 = build_sign_approx(SPEC.theta1 / 2, xi)
-    q = _combine(p1, p1, SPEC, xi)
+    q = _shifted_sum(p1, p1, SPEC, xi)
     plateau = q(np.linspace(SPEC.t1, SPEC.t2, 4000))
     assert plateau.min() >= 1 - xi - 1e-9 and plateau.max() <= 1 + 1e-9
     outer = np.concatenate([
         q(np.linspace(0.0, SPEC.t1 - SPEC.theta1, 4000)),
         q(np.linspace(SPEC.t2 + SPEC.theta2, 1.0, 4000))])
     assert outer.min() >= -1e-9 and outer.max() <= 1.5 * xi + 1e-9
+
+
+CRITERION_4_SPECS = [ThresholdSpec(t1, t2, th, th, chi)
+                     for t1, t2, th in ((0.5, 0.7, 0.1), (0.4, 0.6, 0.2),
+                                        (0.45, 0.55, 0.3))
+                     for chi in (0.2, 0.1, 0.05, 0.01)]
+SCAN_SPEC = ThresholdSpec(0.5, 0.71875, 0.5, 0.03125, 1 / 12)  # degree 730
+
+
+@pytest.mark.parametrize("spec, cap", [(spec, 512) for spec in CRITERION_4_SPECS]
+                         + [(SCAN_SPEC, 4096)])
+def test_even_interpolant_is_exact_symmetrization(rng, spec, cap):
+    # the interpolant in w = 2x^2 - 1 reproduces (Q(x) + Q(-x)) / (1 + xi)
+    # itself, at degree n - 1 for the larger sign-approximation degree n
+    xi = spec.chi / 3.0
+    p1 = build_sign_approx(spec.theta1 / 2, xi, degree_cap=cap)
+    p2 = build_sign_approx(spec.theta2 / 2, xi, degree_cap=cap)
+    P = EvenPolynomial(_even_interpolant(p1, p2, spec, xi))
+    assert P.degree == max(p1.degree, p2.degree) - 1
+    q = _shifted_sum(p1, p2, spec, xi)
+    xs = rng.uniform(-1, 1, size=2000)
+    assert_allclose(P(xs), (q(xs) + q(-xs)) / (1 + xi), rtol=0, atol=1e-12)
+
+
+def test_sign_approx_is_memoized_and_read_only():
+    P = build_sign_approx(0.3, 0.05)
+    assert build_sign_approx(0.3, 0.05) is P
+    assert not P._c.flags.writeable
+    with pytest.raises(ValueError):
+        P._c[1] = 0.0
 
 
 def test_threshold_degree_monotone_in_chi():
@@ -170,6 +204,62 @@ def test_polynomial_file_round_trip(tmp_path, rng):
     Q = load_polynomial(path)
     assert Q.degree == P.degree
     assert_allclose(Q.monomial_even(), P.monomial_even(), atol=1e-15)
+
+
+def test_low_degree_monomial_polynomial_saves_as_even(tmp_path):
+    path = tmp_path / "p.poly"
+    save_polynomial(path, EvenPolynomial.from_even_coeffs([0.3, 0.5]))
+    assert path.read_text() == "EVEN 2\n0.3\n0.0\n0.5\n"
+
+
+def test_high_degree_filter_saves_as_even_cheb(tmp_path):
+    P = build_threshold(SPEC)
+    path = tmp_path / "filter.poly"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no monomial conversion
+        save_polynomial(path, P)
+        Q = load_polynomial(path)
+    assert path.read_text().startswith(f"EVEN_CHEB {P.degree}\n")
+    assert np.array_equal(Q.cheb_even(), P.cheb_even())
+    assert verify_threshold(Q, SPEC).passed
+
+
+coefficient_lists = st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=coefficient_lists, monomial=st.booleans())
+def test_polynomial_file_round_trip_is_exact(tmp_path_factory, coeffs, monomial):
+    P = (EvenPolynomial.from_even_coeffs(coeffs) if monomial
+         else EvenPolynomial(coeffs))
+    path = tmp_path_factory.mktemp("poly") / "p.poly"
+    save_polynomial(path, P)
+    Q = load_polynomial(path)
+    as_even = monomial and P.degree <= 30
+    assert path.read_text().split()[0] == ("EVEN" if as_even else "EVEN_CHEB")
+    assert Q.degree == P.degree
+    assert np.array_equal(Q.cheb_even(), P.cheb_even())
+    if as_even:
+        assert np.array_equal(Q.monomial_even(), P.monomial_even())
+
+
+@pytest.mark.parametrize("text, line", [
+    ("EVEN_CHEB 3\n1.0\n0.5\n", 1),        # odd degree
+    ("EVEN_CHEB -2\n1.0\n", 1),            # negative degree
+    ("EVEN_CHEB two\n1.0\n0.5\n", 1),      # degree not an integer
+    ("EVEN_CHEB 2 0\n1.0\n0.5\n", 1),      # extra header token
+    ("even_cheb 2\n1.0\n0.5\n", 1),        # unknown format name
+    ("EVEN_CHEB 4\n1.0\n0.5\n", 3),        # missing coefficient line
+    ("EVEN_CHEB 2\n1.0\nabc\n", 3),        # unparsable coefficient
+    ("EVEN_CHEB 2\n1.0\nnan\n", 3),        # non-finite coefficient
+    ("EVEN 2\n1.0\n0.0\ninf\n", 4),        # non-finite coefficient
+    ("EVEN_CHEB 2\n1.0\n0.5\n0.25\n", 4),  # line past the count
+])
+def test_polynomial_loader_rejects_malformed_files(tmp_path, text, line):
+    path = tmp_path / "bad.poly"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^line {line}:"):
+        load_polynomial(path)
 
 
 def test_polynomial_loader_rejects_odd_coefficients(tmp_path):
