@@ -189,9 +189,9 @@ class ThresholdReport:
         return worst <= self.tolerance
 
 
-def _certify_sign_boxes(poly_cheb, eta, xi, grid):
-    xs = np.linspace(-2.0, 2.0, grid)
-    vals = poly_cheb(xs)
+def _certify_sign_boxes(xs, vals, eta, xi):
+    """Worst box violation of a sign approximation with values ``vals``
+    on the grid ``xs`` of [-2, 2]."""
     sup = np.abs(vals).max() - 1.0
     hi = vals[xs >= eta]
     lo = vals[xs <= -eta]
@@ -220,6 +220,7 @@ def build_sign_approx(eta: float, xi: float, degree_cap: int = DEFAULT_DEGREE_CA
     k = float(erfinv(1.0 - tau)) / eta
     n = int(math.ceil(3.2 * k * math.sqrt(math.log(1.0 / xi)))) + 16
     n |= 1
+    xs = np.linspace(-2.0, 2.0, grid)
     attempts = []
     while True:
         n_try = min(n, degree_cap)
@@ -227,13 +228,14 @@ def build_sign_approx(eta: float, xi: float, degree_cap: int = DEFAULT_DEGREE_CA
                                    domain=[-2.0, 2.0])
         coef = ch.coef.copy()
         coef[0::2] = 0.0
-        cand = Chebyshev(coef, domain=[-2.0, 2.0])
-        xs = np.linspace(-2.0, 2.0, grid)
-        sup = np.abs(cand(xs)).max()
+        # one evaluation per candidate serves the sup and the certificate
+        vals = Chebyshev(coef, domain=[-2.0, 2.0])(xs)
+        sup = np.abs(vals).max()
         if sup > 1.0:
-            coef = coef / (sup * (1.0 + 1e-12))
-            cand = Chebyshev(coef, domain=[-2.0, 2.0])
-        violation = _certify_sign_boxes(cand, eta, xi, grid)
+            scale = sup * (1.0 + 1e-12)
+            coef = coef / scale
+            vals = vals / scale
+        violation = _certify_sign_boxes(xs, vals, eta, xi)
         attempts.append((n_try, violation))
         if violation <= CERT_TOLERANCE:
             return OddPolynomial(coef)

@@ -13,7 +13,19 @@ coefficients go through the sparse chain recursion above; everything
 else is evaluated through the identity T_{2r}(x) = T_r(2 x^2 - 1) by a
 three-term Chebyshev recurrence in the Hermitian contraction
 S = 2 A-dagger A - I, whose spectrum lies in [-1, 1].  Both paths
-compute the same operator polynomial.
+compute the same operator polynomial.  The recurrence checks
+||T_r(S) u||^2 <= (1 + NORM_TOLERANCE) ||u||^2 at every step, which
+holds whenever ||A|| <= 1, and raises ConfigError when it fails.
+
+Each thread keeps one slot holding (A, S, u, P, w) from its last
+Chebyshev apply, keyed on object identity: a call with the same A
+reuses S, and a call with the same A, u array and P returns the stored
+w (read-only) without recomputing it, so reading several entries of
+one vector costs one apply.  The slot's strong references keep those
+ids from being reused, and the key objects are immutable.  It holds at
+most nnz(S) + N numbers per thread beyond the inputs it keeps alive,
+the same as one apply's own peak.  Query counts are charged on every
+call, cache hit or not.
 
 Randomized layer: a single sample draws j from the sampling-access
 distribution of v and returns X_j = w_j m^2 / v_j with
@@ -29,6 +41,7 @@ seeded by the config seed, and its mean is counts @ X / r.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -52,6 +65,15 @@ __all__ = [
     "min_sample_count",
     "min_batch_count",
 ]
+
+# ||A|| = 1 + delta puts the top of spec(S) at 1 + 4 delta, where
+# |T_r| <= cosh(r sqrt(8 delta)).  At degree 730 this tolerance admits the
+# shifted Hamiltonians of assemble_sparse, whose norm may exceed 1 by
+# 2.5e-10 (squared growth at most 3e-4), while ||A|| = 1.02 trips it
+# within a dozen steps.
+NORM_TOLERANCE = 1e-3
+
+_last_apply = threading.local()
 
 
 @dataclass
@@ -134,21 +156,53 @@ def _contraction(A: SparseMatrix) -> sp.csr_matrix:
 
 def _cheb_apply(A: SparseMatrix, u_arr: np.ndarray, P: EvenPolynomial,
                 counter: QueryCounter | None = None) -> np.ndarray:
-    """P(sqrt(A-dagger A)) u via the T_r(2 A-dagger A - I) recurrence."""
-    cr = P.cheb_even()
-    S = _contraction(A)
+    """P(sqrt(A-dagger A)) u via the T_r(2 A-dagger A - I) recurrence.
+
+    The result is read-only.  This thread's slot keeps (A, S, u_arr, P,
+    w) from the last successful call: the same A object reuses S, and
+    the same A, u_arr and P objects return the stored w.  Otherwise the
+    recurrence runs and replaces the slot; a call that raises stores
+    nothing.  Raises ConfigError when some ||T_r(S) u||^2 exceeds
+    (1 + NORM_TOLERANCE) ||u||^2, which means ||A|| > 1.
+    """
+    slot = getattr(_last_apply, "slot", None)
+    same_A = slot is not None and slot[0] is A
+    if not same_A:
+        _last_apply.slot = None  # never hold two contractions at once
+    S = slot[1] if same_A else _contraction(A)
+    steps = P.degree // 2
     if counter is not None:
         # each recurrence step reads every stored entry of S once
-        counter.row_fetches += (cr.size - 1) * S.shape[0]
-        counter.entry_probes += (cr.size - 1) * S.nnz
+        counter.row_fetches += steps * S.shape[0]
+        counter.entry_probes += steps * S.nnz
+    if same_A and slot[2] is u_arr and slot[3] is P:
+        return slot[4]
+    w = _recurrence(S, u_arr, P.cheb_even())
+    w.flags.writeable = False
+    _last_apply.slot = (A, S, u_arr, P, w)
+    return w
+
+
+def _recurrence(S: sp.csr_matrix, u_arr: np.ndarray,
+                cr: np.ndarray) -> np.ndarray:
+    """sum_r cr[r] T_r(S) u, checking ||T_r(S) u|| against ||u||."""
     y = cr[0] * u_arr
     if cr.size == 1:
         return y
+    bound = (1.0 + NORM_TOLERANCE) * np.vdot(u_arr, u_arr).real
+
+    def checked(vec, r):
+        if not np.vdot(vec, vec).real <= bound:
+            raise ConfigError(
+                f"||A|| exceeds 1: ||T_{r}(2 A^dag A - I) u||^2 exceeds "
+                f"(1 + {NORM_TOLERANCE}) ||u||^2")
+        return vec
+
     prev = u_arr
-    cur = S @ u_arr
+    cur = checked(S @ u_arr, 1)
     y = y + cr[1] * cur
     for r in range(2, cr.size):
-        prev, cur = cur, 2.0 * (S @ cur) - prev
+        prev, cur = cur, checked(2.0 * (S @ cur) - prev, r)
         y = y + cr[r] * cur
     return y
 
@@ -160,7 +214,10 @@ def svt_entry(A: SparseMatrix, u: QueryVector, P: EvenPolynomial, i: int,
     Low-degree polynomials with monomial coefficients use the sparse
     chain recursion on [A-dagger, A] pairs with a memo shared across the
     powers (keyed on chain depth and index).  Higher degrees use the
-    Chebyshev recurrence; values agree to machine precision.
+    Chebyshev recurrence, whose whole vector stays in this thread's
+    slot, so further entries of the same (A, u, P) cost no recompute;
+    values agree to machine precision.  On that path ||A|| > 1 raises
+    ConfigError.
     """
     if A.ncols != u.dim:
         raise ShapeError(f"matrix has {A.ncols} columns, vector has {u.dim}")
@@ -191,6 +248,7 @@ def svt_entries(A: SparseMatrix, u: QueryVector, P: EvenPolynomial,
 
     Shares one Chebyshev recurrence across all requested entries, which
     is what the sampling estimator needs when the same index recurs.
+    Returns a writable copy; ||A|| > 1 raises ConfigError.
     """
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
@@ -337,7 +395,7 @@ def estimate_bilinear(A: SparseMatrix, u: QueryVector, v: SampledVector,
     per-index values X_j = w_j m^2 / v_j, so the cost is
     O(batches * |supp v|) binomial draws on top of one application of
     P.  The median across batch means is taken separately for real and
-    imaginary parts.  ||A|| <= 1 is assumed, not checked.
+    imaginary parts.  ||A|| > 1 raises ConfigError from the apply.
     """
     t0 = time.perf_counter()
     _validate_estimate_inputs(A, u, v, P, cfg)

@@ -1,14 +1,18 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from svtkit import svt
 from svtkit.access import QueryVector, SparseMatrix, distorted_sampler, exact_sampler
 from svtkit.errors import ConfigError, InvalidSamplerError, ShapeError
 from svtkit.oracle import exact_bilinear, exact_svt_apply
-from svtkit.polynomial import EvenPolynomial
+from svtkit.polynomial import EvenPolynomial, ThresholdSpec, build_threshold_cached
 from svtkit.rand import (random_even_polynomial, random_sparse_matrix,
                          random_unit_vector)
-from svtkit.svt import (EstimatorConfig, QueryCounter, chain_entry,
+from svtkit.svt import (EstimatorConfig, QueryCounter, _contraction, chain_entry,
                         estimate_bilinear, min_sample_count, sample_values,
                         single_sample, svt_entry, svt_entries)
 
@@ -139,6 +143,134 @@ def test_svt_entry_high_degree_uses_stable_path(rng):
     expected = exact_svt_apply(A.to_dense(), P, u)
     got = svt_entries(A, QueryVector(u), P, np.arange(1, 25))
     assert_allclose(got, expected, atol=1e-9)
+
+
+FILTER = ThresholdSpec(0.5, 0.7, 0.1, 0.1, 0.05)  # degree 270
+SCAN_FILTER = ThresholdSpec(0.5, 0.71875, 0.5, 0.03125, 1 / 12)  # degree 730
+
+
+def _cheb_only(rng, d):
+    """Random bounded even polynomial of degree 2d without monomial
+    coefficients, so svt_entry takes the Chebyshev path at any degree."""
+    return EvenPolynomial(random_even_polynomial(rng, d).cheb_even())
+
+
+def test_cheb_entry_is_bitwise_one_recurrence(rng):
+    A = random_sparse_matrix(rng, 20, 20, 3)
+    u = QueryVector(random_unit_vector(rng, 20))
+    P = build_threshold_cached(FILTER)
+    S, cr = _contraction(A), P.cheb_even()
+    prev, cur = u.dense(), S @ u.dense()
+    fresh = cr[0] * prev + cr[1] * cur
+    for r in range(2, cr.size):
+        prev, cur = cur, 2.0 * (S @ cur) - prev
+        fresh = fresh + cr[r] * cur
+    singles = np.array([svt_entry(A, u, P, i) for i in range(1, 21)])
+    block = svt_entries(A, u, P, np.arange(1, 21))
+    assert np.array_equal(singles, fresh)
+    assert np.array_equal(block, fresh)
+
+
+def test_interleaved_cheb_applies_are_never_stale(rng):
+    As = [random_sparse_matrix(rng, 12, 12, 3) for _ in range(2)]
+    us = [random_unit_vector(rng, 12) for _ in range(2)]
+    uqs = [QueryVector(u) for u in us]
+    Ps = [_cheb_only(rng, 4), build_threshold_cached(FILTER)]
+    exact = {(a, b, c): exact_svt_apply(As[a].to_dense(), Ps[c], us[b])
+             for a in range(2) for b in range(2) for c in range(2)}
+    keys = list(exact) * 3
+    for n in rng.permutation(len(keys)):
+        a, b, c = keys[n]
+        i = int(rng.integers(1, 13))
+        got = svt_entry(As[a], uqs[b], Ps[c], i)
+        assert abs(got - exact[a, b, c][i - 1]) <= 1e-9
+        if n % 2:
+            assert_allclose(svt_entries(As[a], uqs[b], Ps[c], np.arange(1, 13)),
+                            exact[a, b, c], atol=1e-9)
+    # fresh vectors that die after each call must not be confused either
+    for _ in range(5):
+        u = random_unit_vector(rng, 12)
+        got = svt_entry(As[0], QueryVector(u), Ps[0], 3)
+        assert abs(got - exact_svt_apply(As[0].to_dense(), Ps[0], u)[2]) <= 1e-9
+
+
+def test_repeated_cheb_entry_charges_the_same_queries(rng):
+    A = random_sparse_matrix(rng, 16, 16, 3)
+    u = QueryVector(random_unit_vector(rng, 16))
+    P = _cheb_only(rng, 20)
+    first, again = QueryCounter(), QueryCounter()
+    svt_entry(A, u, P, 5, counter=first)
+    svt_entry(A, u, P, 9, counter=again)
+    assert first == again and first.row_fetches == 20 * 16
+
+
+def test_threads_keep_separate_apply_slots(rng):
+    jobs = []
+    for _ in range(4):  # more threads than the two cores of a small host
+        A = random_sparse_matrix(rng, 32, 32, 4)
+        u = random_unit_vector(rng, 32)
+        P = _cheb_only(rng, 30)
+        jobs.append((A, QueryVector(u), P, exact_svt_apply(A.to_dense(), P, u)))
+    barrier = threading.Barrier(len(jobs), timeout=30)
+    worst = [None] * len(jobs)
+
+    def work(k):
+        A, uq, P, exact = jobs[k]
+        err = 0.0
+        for step in range(60):
+            barrier.wait()
+            i = (7 * step + k) % 32 + 1
+            err = max(err, abs(svt_entry(A, uq, P, i) - exact[i - 1]))
+        worst[k] = err
+
+    main_A, main_u, main_P, _ = jobs[0]
+    svt_entry(main_A, main_u, main_P, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(e is not None and e <= 1e-9 for e in worst)
+    assert svt._last_apply.slot[0] is main_A  # the workers left this thread's slot alone
+
+
+def test_svt_entries_returns_a_writable_copy(rng):
+    A = random_sparse_matrix(rng, 10, 10, 2)
+    u = QueryVector(random_unit_vector(rng, 10))
+    P = _cheb_only(rng, 6)
+    idx = np.arange(1, 11)
+    block = svt_entries(A, u, P, idx)
+    keep = block.copy()
+    assert block.flags.writeable
+    block[:] = 7.0
+    assert np.array_equal(svt_entries(A, u, P, idx), keep)
+    assert svt_entry(A, u, P, 4) == keep[3]
+
+
+def test_norm_above_one_raises_config_error(rng):
+    P = build_threshold_cached(SCAN_FILTER, degree_cap=4096)
+    assert P.degree == 730
+    good = SparseMatrix.from_dense(np.diag([1.0, 0.5, 0.2]))
+    bad = SparseMatrix.from_dense(np.diag([1.02, 0.5, 0.2]))
+    u = np.ones(3) / np.sqrt(3.0)
+    uq = QueryVector(u)
+    before = svt_entries(good, uq, P, [1, 2, 3])
+    assert_allclose(before, exact_svt_apply(good.to_dense(), P, u), atol=1e-9)
+    for _ in range(2):  # a failed apply is never cached
+        with pytest.raises(ConfigError, match="exceeds 1"):
+            svt_entry(bad, uq, P, 1)
+        with pytest.raises(ConfigError, match="exceeds 1"):
+            svt_entries(bad, uq, P, [1, 2, 3])
+    cfg = EstimatorConfig.for_target(0.25, 0.05, seed=1)
+    with pytest.raises(ConfigError, match="exceeds 1"):
+        estimate_bilinear(bad, uq, exact_sampler(u), P, cfg)
+    assert svt_entry(good, uq, P, 1) == before[0]
 
 
 def test_single_sample_point_mass(rng):
