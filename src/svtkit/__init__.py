@@ -18,8 +18,7 @@ from .kitaev import Circuit, Gate, KitaevInstance, build_gadget
 from .polynomial import (EvenPolynomial, OddPolynomial, ThresholdSpec,
                          build_sign_approx, build_threshold, verify_threshold)
 from .sve import SveProblem, decide_singular_interval
-from .svt import (EstimatorConfig, chain_entry, estimate_bilinear,
-                  single_sample, svt_entry)
+from .svt import EstimatorConfig, chain_entry, estimate_bilinear, svt_entry
 
 __version__ = "0.1.0"
 
@@ -34,6 +33,5 @@ __all__ = [
     "EvenPolynomial", "OddPolynomial", "ThresholdSpec", "build_sign_approx",
     "build_threshold", "verify_threshold",
     "SveProblem", "decide_singular_interval",
-    "EstimatorConfig", "chain_entry", "estimate_bilinear", "single_sample",
-    "svt_entry",
+    "EstimatorConfig", "chain_entry", "estimate_bilinear", "svt_entry",
 ]

@@ -85,6 +85,8 @@ class SparseMatrix:
         return csc
 
     def _validate(self):
+        if not np.all(np.isfinite(self._csr.data)):
+            raise ValueError("matrix entries must be finite")
         if self._csr.nnz != np.count_nonzero(self._csr.data):
             raise ValueError("stored values must all be nonzero")
         row_counts = np.diff(self._csr.indptr)
@@ -229,13 +231,24 @@ class SampledVector:
 
     The sampler draws index j with probability within the zeta-band of
     |v_j|^2 / ||v||^2; only indices with nonzero entries are ever emitted.
+    ``support`` holds distinct 0-based indices into ``base``, one per
+    entry of ``probs``.
     """
 
     def __init__(self, base: QueryVector, support, probs, m: float, zeta: float):
         probs = np.asarray(probs, dtype=float)
-        support = np.asarray(support, dtype=np.int64)
+        support = np.asarray(support)
         if support.size == 0:
             raise ValueError("sampler support is empty")
+        if support.ndim != 1 or support.dtype.kind not in "iu":
+            raise ConstructionError("sampler support must be a 1-d integer array")
+        if probs.shape != support.shape:
+            raise ConstructionError("sampler support and probabilities differ in length")
+        if support.min() < 0 or support.max() >= base.dim:
+            raise ConstructionError(f"sampler support leaves [0, {base.dim})")
+        if np.unique(support).size != support.size:
+            raise ConstructionError("sampler support repeats an index")
+        support = support.astype(np.int64)
         self.base = base
         self.m = float(m)
         self.zeta = float(zeta)
@@ -262,9 +275,6 @@ class SampledVector:
     def dim(self) -> int:
         return self.base.dim
 
-    def entry(self, i: int) -> complex:
-        return self.base.entry(i)
-
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` independent 1-based indices."""
         u = rng.random(size)
@@ -284,9 +294,6 @@ class SampledVector:
         """
         edges = np.minimum(np.concatenate(([0.0], self._cdf[:-1], [1.0])), 1.0)
         return rng.multinomial(size, np.diff(edges), size=batches)
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(self.sample_many(rng, 1)[0])
 
     def support(self) -> np.ndarray:
         """1-based indices the sampler can emit."""
@@ -380,6 +387,8 @@ def load_vector(path) -> np.ndarray:
             out[k] = complex(float(parts[0]), float(parts[1]))
         except ValueError:
             raise ParseError("could not parse floats", line=k + 2) from None
+        if not np.isfinite(out[k]):
+            raise ParseError("entry must be finite", line=k + 2)
     reject_trailing(lines, n + 1)
     return out
 
@@ -421,6 +430,8 @@ def load_matrix(path) -> SparseMatrix:
             val = complex(float(parts[2]), float(parts[3]))
         except ValueError:
             raise ParseError("could not parse entry", line=k + 2) from None
+        if not np.isfinite(val):
+            raise ParseError("entry must be finite", line=k + 2)
         if (i, j) <= prev:
             raise ParseError("entries must be in ascending (i, j) order", line=k + 2)
         prev = (i, j)

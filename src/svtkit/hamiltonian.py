@@ -49,6 +49,8 @@ HIGH = "HIGH"
 LOCALITY_CAP = 10       # dense 2^k blocks stop being a desk-scale object here
 ASSEMBLE_QUBIT_CAP = 20
 DENSE_QUBIT_CAP = 12
+# gap decisions at eps 0.25 need degree-730 filters, past the sve default of 512
+GLH_DEGREE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ class LocalTerm:
         dim = 2 ** len(qubits)
         if block.shape != (dim, dim):
             raise ValueError(f"block must be {dim}x{dim} for {len(qubits)} qubits")
-        if np.abs(block - block.conj().T).max() > 1e-12:
+        if not np.abs(block - block.conj().T).max() <= 1e-12:  # NaN fails too
             raise ValueError("block is not Hermitian to 1e-12")
         object.__setattr__(self, "block", block)
 
@@ -174,15 +176,15 @@ class LocalHamiltonian:
         return float(max(abs(hi), abs(lo)))
 
 
-def assemble_sparse(H: LocalHamiltonian, shift: bool = False,
-                    cap: int = ASSEMBLE_QUBIT_CAP) -> SparseMatrix:
+def assemble_sparse(H: LocalHamiltonian, shift: bool = False) -> SparseMatrix:
     """Sparse-access form of H, or of (H + 3I)/4 when ``shift`` is set.
 
     Validates ||H|| <= 1 and the m 2^k sparsity bound (m 2^k + 1 for the
     shifted form, whose eigenvalues then lie in [1/2, 1]).
     """
-    if H.n > cap:
-        raise SizeError(f"assembly capped at {cap} qubits, got n={H.n}")
+    if H.n > ASSEMBLE_QUBIT_CAP:
+        raise SizeError(
+            f"assembly capped at {ASSEMBLE_QUBIT_CAP} qubits, got n={H.n}")
     norm = H.operator_norm()
     if norm > 1.0 + 1e-9:
         raise ValueError(f"operator norm {norm:.6f} exceeds 1")
@@ -261,18 +263,18 @@ class GlhEstimate:
 
 
 def _decide_shifted(shifted: SparseMatrix, guide: SampledVector, a: float,
-                    b: float, delta: float, fail_prob: float, seed: int,
-                    degree_cap: int) -> GlhDecision:
+                    b: float, delta: float, fail_prob: float,
+                    seed: int) -> GlhDecision:
     problem = SveProblem(matrix=shifted, guide=guide, t1=0.5, t2=(3.0 + a) / 4.0,
                          theta1=0.5, theta2=(b - a) / 4.0, delta=delta)
     sve = decide_singular_interval(problem, fail_prob=fail_prob, seed=seed,
-                                   degree_cap=degree_cap)
+                                   degree_cap=GLH_DEGREE_CAP)
     decision = LOW if sve.decision == HAS_SV else HIGH
     return GlhDecision(decision=decision, a=a, b=b, sve=sve)
 
 
-def decide_glh(problem: GlhProblem, fail_prob: float = 0.01, seed: int = 0,
-               degree_cap: int = 4096) -> GlhDecision:
+def decide_glh(problem: GlhProblem, fail_prob: float = 0.01,
+               seed: int = 0) -> GlhDecision:
     """Decide lambda_H <= a (LOW) versus lambda_H >= b (HIGH).
 
     Eigenvalues of (H + 3I)/4 equal its singular values and lie in
@@ -283,7 +285,7 @@ def decide_glh(problem: GlhProblem, fail_prob: float = 0.01, seed: int = 0,
         raise ConfigError("decision form requires thresholds a and b")
     shifted = assemble_sparse(problem.hamiltonian, shift=True)
     return _decide_shifted(shifted, problem.guide, problem.a, problem.b,
-                           problem.delta, fail_prob, seed, degree_cap)
+                           problem.delta, fail_prob, seed)
 
 
 def _bisection_steps(eps: float) -> int:
@@ -297,8 +299,7 @@ def _bisection_steps(eps: float) -> int:
 
 
 def estimate_ground_energy(problem: GlhProblem, fail_prob: float = 0.05,
-                           seed: int = 0,
-                           degree_cap: int = 4096) -> GlhEstimate:
+                           seed: int = 0) -> GlhEstimate:
     """Estimate lambda_H to within eps/2 by fuzzy bisection.
 
     The interval [lo, hi] starts at [-1, 1].  Each step decides
@@ -323,8 +324,7 @@ def estimate_ground_energy(problem: GlhProblem, fail_prob: float = 0.05,
         mid = (lo + hi) / 2.0
         a, b = mid - h, mid + h
         d = _decide_shifted(shifted, problem.guide, a, b, problem.delta,
-                            per_step_fail, step_seed.generate_state(1)[0],
-                            degree_cap)
+                            per_step_fail, step_seed.generate_state(1)[0])
         if d.decision == LOW:
             hi = b
         else:
@@ -389,7 +389,9 @@ def load_hamiltonian(path) -> LocalHamiltonian:
                 row = np.array([float(x) for x in parts])
             except ValueError:
                 raise ParseError("could not parse block row", line=ln + 1) from None
-            block[r] = row[0::2] + 1j * row[1::2]
+            if not np.all(np.isfinite(row)):
+                raise ParseError("block entries must be finite", line=ln + 1)
+            block[r] = row.view(complex)  # keeps signed zeros
             ln += 1
         try:
             terms.append(LocalTerm(qubits, block))

@@ -23,8 +23,8 @@ levels a' (the YES-side history-state energy bound (1-alpha)/(M+1)) and
 b' (the NO-side ground energy of H', computed exactly rather than from
 an asymptotic bound) are shared between the two instances of a YES/NO
 pair, which is what places the NO-case ground space entirely in the
-0-block; single instances built in isolation default to their own
-branch's values.
+0-block; single instances built in isolation take their own branch's
+values.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class Gate:
             raise ValueError("gates act on one or two distinct wires")
         if m.shape != (dim, dim):
             raise ValueError(f"gate matrix must be {dim}x{dim}")
-        if np.abs(m @ m.conj().T - np.eye(dim)).max() > 1e-12:
+        if not np.abs(m @ m.conj().T - np.eye(dim)).max() <= 1e-12:  # NaN fails too
             raise ValueError(f"gate {self.name} is not unitary to 1e-12")
         object.__setattr__(self, "matrix", m)
 
@@ -252,12 +252,12 @@ def _local_terms(circuit: Circuit, x, n_idle: int):
     return h_in, h_prop, h_out, h_stab
 
 
-def _check_cap(circuit: Circuit, n_idle: int, cap: int) -> int:
+def _check_cap(circuit: Circuit, n_idle: int) -> int:
     m_total = circuit.n_gates + n_idle
     total = circuit.n_wires + m_total + 1
-    if total > cap:
-        raise SizeError(
-            f"instance needs {total} qubits (incl. flag), cap is {cap}")
+    if total > TOTAL_QUBIT_CAP:
+        raise SizeError(f"instance needs {total} qubits (incl. flag), "
+                        f"cap is {TOTAL_QUBIT_CAP}")
     return m_total
 
 
@@ -269,19 +269,18 @@ def _assemble_group(circuit: Circuit, n_idle: int, terms) -> sp.csr_matrix:
     return LocalHamiltonian(n_abc, 5, terms).assemble_csr()
 
 
-def build_terms(circuit: Circuit, x, n_idle: int, cap: int = TOTAL_QUBIT_CAP):
+def build_terms(circuit: Circuit, x, n_idle: int):
     """Sparse (H_in, H_prop, H_out, H_stab) over the A|B|C register for
     the pre-idled circuit (first ``n_idle`` gates are identities)."""
-    _check_cap(circuit, n_idle, cap)
+    _check_cap(circuit, n_idle)
     h_in, h_prop, h_out, h_stab = _local_terms(circuit, x, n_idle)
     return tuple(_assemble_group(circuit, n_idle, g)
                  for g in (h_in, h_prop, h_out, h_stab))
 
 
-def history_state(circuit: Circuit, x, n_idle: int,
-                  cap: int = TOTAL_QUBIT_CAP) -> np.ndarray:
+def history_state(circuit: Circuit, x, n_idle: int) -> np.ndarray:
     """(1/sqrt(M+1)) sum_t U_t...U_1 |x, 0> (x) |t> over A|B|C."""
-    m_total = _check_cap(circuit, n_idle, cap)
+    m_total = _check_cap(circuit, n_idle)
     bits = _parse_input(circuit, x)
     comp_states = _simulate(circuit, bits)
     n_clock = m_total
@@ -307,13 +306,12 @@ def _guide_support(circuit: Circuit, bits, n_idle: int, m_total: int):
             for t in range(1, n_idle + 1)]
 
 
-def semiclassical_guide(circuit: Circuit, x, n_idle: int,
-                        cap: int = TOTAL_QUBIT_CAP) -> SampledVector:
+def semiclassical_guide(circuit: Circuit, x, n_idle: int) -> SampledVector:
     """Subset state |x>|0>_B (clock uniform over t=1..N) |+>_D with exact
     sampling-access; N must be a power of two."""
     if n_idle < 1 or n_idle & (n_idle - 1):
         raise ValueError("idle count must be a power of two")
-    m_total = _check_cap(circuit, n_idle, cap)
+    m_total = _check_cap(circuit, n_idle)
     bits = _parse_input(circuit, x)
     vec = np.zeros(2 ** (circuit.n_wires + m_total + 1), dtype=complex)
     amp = 1.0 / math.sqrt(2 * n_idle)
@@ -377,8 +375,8 @@ class KitaevInstance:
 
 
 def _build_instance(circuit: Circuit, x, n_idle: int, delta_weight,
-                    alpha_prime, beta_prime, cap: int) -> KitaevInstance:
-    m_total = _check_cap(circuit, n_idle, cap)
+                    alpha_prime=None, beta_prime=None) -> KitaevInstance:
+    m_total = _check_cap(circuit, n_idle)
     bits = _parse_input(circuit, x)
     alpha = acceptance_probability(circuit, x)
     if alpha_prime is None:
@@ -409,33 +407,28 @@ def _build_instance(circuit: Circuit, x, n_idle: int, delta_weight,
         circuit=circuit, x=bits, n_idle=n_idle, m_total=m_total,
         delta_weight=delta_weight, alpha=alpha, alpha_prime=alpha_prime,
         beta_prime=beta_prime, normalization=normalization, hamiltonian=ham,
-        history=history_state(circuit, x, n_idle, cap=cap),
-        guide=semiclassical_guide(circuit, x, n_idle, cap=cap),
+        history=history_state(circuit, x, n_idle),
+        guide=semiclassical_guide(circuit, x, n_idle),
         no_case=beta_prime > alpha_prime and lo > zero_level)
 
 
 def build_gadget(circuit: Circuit, x, n_idle: int,
-                 delta_weight: float | None = None,
-                 alpha_prime: float | None = None,
-                 beta_prime: float | None = None,
-                 cap: int = TOTAL_QUBIT_CAP) -> KitaevInstance:
+                 delta_weight: float | None = None) -> KitaevInstance:
     """Gadget instance for a single circuit.
 
-    Defaults take alpha' = (1 - alpha)/(M + 1) from the circuit's exact
+    Takes alpha' = (1 - alpha)/(M + 1) from the circuit's exact
     acceptance probability and beta' = the exact minimum eigenvalue of
-    H'.  Note Fact-1 style bounds give lambda_min(H') <= alpha' for
-    every circuit, so a rejecting circuit built in isolation has its
-    ground state in the 1-block and ``no_case`` stays False; pass the
-    YES-branch alpha' (or use :func:`build_gadget_pair`) to pin the
-    NO-case ground space to the 0-block.
+    H'.  Fact-1 style bounds give lambda_min(H') <= alpha' for every
+    circuit, so a rejecting circuit built in isolation has its ground
+    state in the 1-block and ``no_case`` stays False; use
+    :func:`build_gadget_pair` to pin the NO-case ground space to the
+    0-block.
     """
-    return _build_instance(circuit, x, n_idle, delta_weight, alpha_prime,
-                           beta_prime, cap)
+    return _build_instance(circuit, x, n_idle, delta_weight)
 
 
 def build_gadget_pair(yes_circuit: Circuit, yes_x, no_circuit: Circuit, no_x,
-                      n_idle: int, delta_weight: float | None = None,
-                      cap: int = TOTAL_QUBIT_CAP):
+                      n_idle: int, delta_weight: float | None = None):
     """YES/NO instance pair sharing the gadget levels.
 
     alpha' is the YES branch's history-state energy bound and beta' the
@@ -444,10 +437,8 @@ def build_gadget_pair(yes_circuit: Circuit, yes_x, no_circuit: Circuit, no_x,
     alpha' < beta', i.e. the branches must actually be separated.
     Returns (yes_instance, no_instance).
     """
-    yes_probe = _build_instance(yes_circuit, yes_x, n_idle, delta_weight,
-                                None, None, cap)
-    no_probe = _build_instance(no_circuit, no_x, n_idle, delta_weight,
-                               None, None, cap)
+    yes_probe = _build_instance(yes_circuit, yes_x, n_idle, delta_weight)
+    no_probe = _build_instance(no_circuit, no_x, n_idle, delta_weight)
     alpha_prime = yes_probe.alpha_prime
     beta_prime = no_probe.beta_prime
     if alpha_prime >= beta_prime:
@@ -456,18 +447,17 @@ def build_gadget_pair(yes_circuit: Circuit, yes_x, no_circuit: Circuit, no_x,
             f"NO level {beta_prime:.3e}")
     yes_inst = _build_instance(yes_circuit, yes_x, n_idle,
                                yes_probe.delta_weight, alpha_prime,
-                               beta_prime, cap)
+                               beta_prime)
     no_inst = _build_instance(no_circuit, no_x, n_idle,
                               no_probe.delta_weight, alpha_prime,
-                              beta_prime, cap)
+                              beta_prime)
     return yes_inst, no_inst
 
 
-def verify_gap_lemma(circuit: Circuit, x, n_idle: int,
-                     cap: int = TOTAL_QUBIT_CAP) -> float:
+def verify_gap_lemma(circuit: Circuit, x, n_idle: int) -> float:
     """Smallest nonzero eigenvalue of H_in + H_prop + H_stab, checked
     against the pi^2 / (64 M^3) lower bound."""
-    m_total = _check_cap(circuit, n_idle, cap)
+    m_total = _check_cap(circuit, n_idle)
     h_in, h_prop, h_out, h_stab = _local_terms(circuit, x, n_idle)
     csr = _assemble_group(circuit, n_idle, [*h_in, *h_prop, *h_stab])
     if csr.shape[0] > DENSE_EIG_CAP:
@@ -540,7 +530,9 @@ def load_circuit(path) -> Circuit:
                 nums = [float(v) for v in parts[1 + n_wires:]]
                 if len(nums) != 2 * dim * dim:
                     raise ValueError(f"{name} needs {2 * dim * dim} floats")
-                vals = np.array(nums[0::2]) + 1j * np.array(nums[1::2])
+                if not all(map(math.isfinite, nums)):
+                    raise ValueError(f"{name} entries must be finite")
+                vals = np.array(nums).view(complex)  # keeps signed zeros
                 gates.append(Gate(name, wires, vals.reshape(dim, dim)))
             else:
                 raise ValueError(f"unknown gate '{name}'")

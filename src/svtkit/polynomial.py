@@ -107,8 +107,11 @@ class EvenPolynomial:
             self._monomial = _affine_compose_monomial(h, -1.0, 2.0)
         return self._monomial.copy()
 
-    def has_monomial(self) -> bool:
-        return self._monomial is not None
+    def has_usable_monomial(self) -> bool:
+        """True when P was built from monomial coefficients and its degree
+        is at most MONOMIAL_DEGREE_LIMIT, where that basis stays exact
+        enough to evaluate and to save."""
+        return self._monomial is not None and self.degree <= MONOMIAL_DEGREE_LIMIT
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -132,9 +135,6 @@ class OddPolynomial:
     def degree(self) -> int:
         nz = np.flatnonzero(self._c)
         return int(nz[-1]) if nz.size else 1
-
-    def cheb(self) -> Chebyshev:
-        return Chebyshev(self._c, domain=[-2.0, 2.0])
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -180,13 +180,12 @@ class ThresholdReport:
     bound_violation: float      # max |P| - 1 on [-1, 1]
     plateau_violation: float    # max deviation below 1-chi / above 1 on [t1, t2]
     outer_violation: float      # max deviation above chi / below 0 outside
-    tolerance: float = CERT_TOLERANCE
 
     @property
     def passed(self) -> bool:
         worst = max(self.bound_violation, self.plateau_violation,
                     self.outer_violation)
-        return worst <= self.tolerance
+        return worst <= CERT_TOLERANCE
 
 
 def _certify_sign_boxes(xs, vals, eta, xi):
@@ -201,16 +200,16 @@ def _certify_sign_boxes(xs, vals, eta, xi):
 
 
 @lru_cache(maxsize=64)
-def build_sign_approx(eta: float, xi: float, degree_cap: int = DEFAULT_DEGREE_CAP,
-                      grid: int = DEFAULT_GRID) -> OddPolynomial:
+def build_sign_approx(eta: float, xi: float,
+                      degree_cap: int = DEFAULT_DEGREE_CAP) -> OddPolynomial:
     """Odd polynomial close to sign(x) away from the origin.
 
     Returns P' with P'(x) in [-1, 1] on [-2, 2], in [1-xi, 1] on [eta, 2]
-    and in [-1, -1+xi] on [-2, -eta], certified on a grid.  Built as a
-    truncated Chebyshev expansion of erf(k x) with k set from eta, with
-    the degree doubled on certification failure up to ``degree_cap``.
-    Memoized on (eta, xi, degree_cap, grid): repeat calls share one
-    read-only result.
+    and in [-1, -1+xi] on [-2, -eta], certified on a DEFAULT_GRID-point
+    grid.  Built as a truncated Chebyshev expansion of erf(k x) with k
+    set from eta, with the degree doubled on certification failure up to
+    ``degree_cap``.  Memoized on (eta, xi, degree_cap): repeat calls
+    share one read-only result.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -220,7 +219,7 @@ def build_sign_approx(eta: float, xi: float, degree_cap: int = DEFAULT_DEGREE_CA
     k = float(erfinv(1.0 - tau)) / eta
     n = int(math.ceil(3.2 * k * math.sqrt(math.log(1.0 / xi)))) + 16
     n |= 1
-    xs = np.linspace(-2.0, 2.0, grid)
+    xs = np.linspace(-2.0, 2.0, DEFAULT_GRID)
     attempts = []
     while True:
         n_try = min(n, degree_cap)
@@ -304,15 +303,16 @@ def verify_threshold(P: EvenPolynomial, spec: ThresholdSpec,
     return ThresholdReport(bound, plateau, outer)
 
 
-def build_threshold(spec: ThresholdSpec, degree_cap: int = DEFAULT_DEGREE_CAP,
-                    grid: int = DEFAULT_GRID) -> EvenPolynomial:
+def build_threshold(spec: ThresholdSpec,
+                    degree_cap: int = DEFAULT_DEGREE_CAP) -> EvenPolynomial:
     """Certified even threshold polynomial for ``spec``.
 
     Two odd sign approximations (transition widths theta1/2 and theta2/2)
     are shifted to the interval edges and averaged; the even part of that
     sum is interpolated exactly in w = 2x^2 - 1, then sup-normalized over
-    [-1, 1].  The internal sign-approximation accuracy starts at chi/3 and
-    is tightened if the final certificate fails.  Raises ConstructionError
+    [-1, 1] and certified by verify_threshold, both on DEFAULT_GRID points.
+    The internal sign-approximation accuracy starts at chi/3 and is
+    tightened if the final certificate fails.  Raises ConstructionError
     when no attempt certifies.
     """
     last_report = None
@@ -320,16 +320,16 @@ def build_threshold(spec: ThresholdSpec, degree_cap: int = DEFAULT_DEGREE_CAP,
     for _ in range(4):
         eta1 = spec.theta1 / 2.0
         eta2 = spec.theta2 / 2.0
-        p1 = build_sign_approx(eta1, xi, degree_cap=degree_cap, grid=grid)
+        p1 = build_sign_approx(eta1, xi, degree_cap=degree_cap)
         p2 = p1 if eta2 == eta1 else build_sign_approx(
-            eta2, xi, degree_cap=degree_cap, grid=grid)
+            eta2, xi, degree_cap=degree_cap)
         cr = _even_interpolant(p1, p2, spec, xi)
-        xs = np.linspace(0.0, 1.0, grid)  # even: [0,1] determines the sup
+        xs = np.linspace(0.0, 1.0, DEFAULT_GRID)  # even: [0,1] determines the sup
         sup = np.abs(chebval(2.0 * xs * xs - 1.0, cr)).max()
         if sup > 1.0:
             cr = cr / (sup * (1.0 + 1e-12))
         candidate = EvenPolynomial(cr, threshold_spec=spec)
-        report = verify_threshold(candidate, spec, grid=grid)
+        report = verify_threshold(candidate, spec)
         if report.passed:
             return candidate
         last_report = report
@@ -340,17 +340,16 @@ def build_threshold(spec: ThresholdSpec, degree_cap: int = DEFAULT_DEGREE_CAP,
 
 
 @lru_cache(maxsize=64)
-def _threshold_cache(t1, t2, theta1, theta2, chi, degree_cap, grid):
+def _threshold_cache(t1, t2, theta1, theta2, chi, degree_cap):
     return build_threshold(ThresholdSpec(t1, t2, theta1, theta2, chi),
-                           degree_cap=degree_cap, grid=grid)
+                           degree_cap=degree_cap)
 
 
 def build_threshold_cached(spec: ThresholdSpec,
-                           degree_cap: int = DEFAULT_DEGREE_CAP,
-                           grid: int = DEFAULT_GRID) -> EvenPolynomial:
+                           degree_cap: int = DEFAULT_DEGREE_CAP) -> EvenPolynomial:
     """Memoized build_threshold; repeated decisions reuse filters."""
     return _threshold_cache(spec.t1, spec.t2, spec.theta1, spec.theta2,
-                            spec.chi, degree_cap, grid)
+                            spec.chi, degree_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +362,7 @@ def build_threshold_cached(spec: ThresholdSpec,
 def save_polynomial(path, P: EvenPolynomial):
     """Write ``P`` as EVEN when it carries monomial coefficients of degree
     at most 30, else as EVEN_CHEB, which stays exact at any degree."""
-    if P.has_monomial() and P.degree <= MONOMIAL_DEGREE_LIMIT:
+    if P.has_usable_monomial():
         a_even = P.monomial_even()
         coeffs = np.zeros(2 * (a_even.size - 1) + 1)
         coeffs[0::2] = a_even

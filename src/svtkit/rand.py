@@ -26,9 +26,9 @@ __all__ = [
 
 
 def random_sparse_matrix(rng: np.random.Generator, nrows: int, ncols: int,
-                         s: int, norm: float = 0.9) -> SparseMatrix:
+                         s: int) -> SparseMatrix:
     """Random complex matrix with at most s nonzeros per row and column,
-    rescaled to the requested spectral norm."""
+    rescaled to spectral norm 0.9."""
     col_budget = np.zeros(ncols, dtype=int)
     dense = np.zeros((nrows, ncols), dtype=complex)
     for i in range(nrows):
@@ -44,7 +44,7 @@ def random_sparse_matrix(rng: np.random.Generator, nrows: int, ncols: int,
     if actual == 0:
         dense[0, 0] = 1.0
         actual = 1.0
-    dense *= norm / actual
+    dense *= 0.9 / actual
     return SparseMatrix.from_dense(dense, s=s)
 
 
@@ -57,10 +57,9 @@ def random_even_polynomial(rng: np.random.Generator, d: int) -> EvenPolynomial:
     return EvenPolynomial.from_even_coeffs(coeffs / (sup * (1.0 + 1e-9)))
 
 
-def random_unit_vector(rng: np.random.Generator, n: int,
-                       norm: float = 1.0) -> np.ndarray:
+def random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return v * (norm / np.linalg.norm(v))
+    return v * (1.0 / np.linalg.norm(v))
 
 
 def _givens_layer(rng: np.random.Generator, n: int) -> np.ndarray:

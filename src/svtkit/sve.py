@@ -19,7 +19,8 @@ import numpy as np
 
 from .access import SampledVector, SparseMatrix
 from .errors import ConfigError
-from .polynomial import ThresholdSpec, build_threshold_cached
+from .polynomial import (DEFAULT_DEGREE_CAP, ThresholdSpec,
+                         build_threshold_cached)
 from .svt import EstimateResult, EstimatorConfig, estimate_bilinear
 
 __all__ = ["SveProblem", "SveResult", "decide_singular_interval", "HAS_SV", "NO_SV"]
@@ -87,8 +88,8 @@ class SveResult:
 
 
 def decide_singular_interval(problem: SveProblem, fail_prob: float = 0.01,
-                             seed: int = 0, degree_cap: int = 512,
-                             grid: int = 10_000) -> SveResult:
+                             seed: int = 0,
+                             degree_cap: int = DEFAULT_DEGREE_CAP) -> SveResult:
     """Decide HAS_SV / NO_SV for ``problem`` with failure probability
     ``fail_prob`` under the promise.
 
@@ -96,8 +97,7 @@ def decide_singular_interval(problem: SveProblem, fail_prob: float = 0.01,
     imaginary part is reported as a sanity diagnostic and flagged when it
     exceeds the estimator precision.
     """
-    P = build_threshold_cached(problem.threshold_spec(), degree_cap=degree_cap,
-                               grid=grid)
+    P = build_threshold_cached(problem.threshold_spec(), degree_cap=degree_cap)
     cfg = EstimatorConfig.for_target(problem.eps, fail_prob,
                                      zeta=problem.guide.zeta, seed=seed)
     est = estimate_bilinear(problem.matrix, problem.guide.base, problem.guide,

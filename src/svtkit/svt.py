@@ -27,8 +27,8 @@ most nnz(S) + N numbers per thread beyond the inputs it keeps alive,
 the same as one apply's own peak.  Query counts are charged on every
 call, cache hit or not.
 
-Randomized layer: a single sample draws j from the sampling-access
-distribution of v and returns X_j = w_j m^2 / v_j with
+Randomized layer: one sample draws j from the sampling-access
+distribution of v and takes X_j = w_j m^2 / v_j with
 w = P(sqrt(A^dag A))u.  Its mean sits within 7 zeta of v-dagger w and
 each component has variance at most (1 + 7 zeta)^2.  The estimator
 takes the median over batches of sample means, separately for real and
@@ -50,7 +50,7 @@ import scipy.sparse as sp
 
 from .access import QueryVector, SampledVector, SparseMatrix
 from .errors import ConfigError, InvalidSamplerError, ShapeError
-from .polynomial import MONOMIAL_DEGREE_LIMIT, EvenPolynomial
+from .polynomial import EvenPolynomial
 
 __all__ = [
     "QueryCounter",
@@ -59,7 +59,6 @@ __all__ = [
     "chain_entry",
     "svt_entry",
     "svt_entries",
-    "single_sample",
     "sample_values",
     "estimate_bilinear",
     "min_sample_count",
@@ -223,7 +222,7 @@ def svt_entry(A: SparseMatrix, u: QueryVector, P: EvenPolynomial, i: int,
         raise ShapeError(f"matrix has {A.ncols} columns, vector has {u.dim}")
     if not 1 <= i <= A.ncols:
         raise IndexError(f"index {i} out of range [1, {A.ncols}]")
-    if P.has_monomial() and P.degree <= MONOMIAL_DEGREE_LIMIT:
+    if P.has_usable_monomial():
         return _svt_entry_monomial(A, u, P, i, counter)
     return complex(_cheb_apply(A, u.dense(), P, counter)[i - 1])
 
@@ -319,29 +318,15 @@ class EstimateResult:
     elapsed_s: float = 0.0
 
 
-def single_sample(A: SparseMatrix, u: QueryVector, v: SampledVector,
-                  P: EvenPolynomial, rng: np.random.Generator) -> complex:
-    """One draw of X = w_j m^2 / v_j with j from v's sampler.
-
-    The division uses the sampled entry itself, not its conjugate:
-    m^2 p(j) / v_j reduces to conj(v_j) at zeta = 0, which is what makes
-    E[X] track v-dagger w.
-    """
-    j = v.sample(rng)
-    vj = v.entry(j)
-    if vj == 0:
-        raise InvalidSamplerError(f"sampler emitted index {j} with zero entry")
-    w_j = svt_entry(A, u, P, j)
-    return w_j * (v.m ** 2) / vj
-
-
 def _sample_values_at(A: SparseMatrix, u: QueryVector, v: SampledVector,
                       P: EvenPolynomial, indices: np.ndarray,
                       counter: QueryCounter | None = None) -> np.ndarray:
     """X_j = w_j m^2 / v_j at the drawn 1-based ``indices``.
 
-    Raises InvalidSamplerError if any of them has v_j = 0: the sampler
-    must never emit such an index.
+    The division uses the sampled entry itself, not its conjugate:
+    m^2 p(j) / v_j reduces to conj(v_j) at zeta = 0, which is what makes
+    E[X] track v-dagger w.  Raises InvalidSamplerError if any of them
+    has v_j = 0: the sampler must never emit such an index.
     """
     v_ent = v.base.dense()[indices - 1]
     if np.any(v_ent == 0):
@@ -353,11 +338,11 @@ def _sample_values_at(A: SparseMatrix, u: QueryVector, v: SampledVector,
 def sample_values(A: SparseMatrix, u: QueryVector, v: SampledVector,
                   P: EvenPolynomial, rng: np.random.Generator,
                   count: int) -> np.ndarray:
-    """``count`` independent single-sample draws, vectorized.
+    """``count`` independent draws of X_j, with the indices j from
+    ``v.sample_many(rng, count)``.
 
-    Distributionally identical to repeated ``single_sample`` calls: the
-    entry values w_j are deterministic in j, so they are computed once
-    per distinct sampled index and gathered by the drawn index.
+    The entry values w_j are deterministic in j, so they are computed
+    once per distinct sampled index and gathered by the drawn index.
     """
     idx = v.sample_many(rng, count)
     drawn = np.zeros(v.dim, dtype=bool)

@@ -138,7 +138,7 @@ def test_adjoint_view(rng):
 
 def test_sample_point_mass(rng):
     v = exact_sampler(np.eye(4)[2])
-    assert all(v.sample(rng) == 3 for _ in range(20))
+    assert np.all(v.sample_many(rng, 20) == 3)
 
 
 def test_sample_uniform_frequencies(rng):
@@ -277,6 +277,22 @@ def test_sampled_vector_band_violation_detected(rng):
     base = QueryVector([1.0, 1.0])
     with pytest.raises(ConstructionError):
         SampledVector(base, [0, 1], [0.9, 0.1], m=np.sqrt(2), zeta=0.0)
+
+
+@pytest.mark.parametrize("support, probs", [
+    ([1, -1], [0.36, 0.64]),        # negative: sample_many would emit index 0
+    ([1, 3], [0.36, 0.64]),         # past the end
+    ([1, 1], [0.36, 0.64]),         # repeated index
+    ([1, 2], [1.0]),                # one probability short
+    ([1.0, 2.0], [0.36, 0.64]),     # not integers
+    ([[1, 2]], [[0.36, 0.64]]),     # not 1-d
+])
+def test_sampled_vector_rejects_bad_support(support, probs):
+    from svtkit.access import SampledVector
+    base = QueryVector([0.0, 0.6, 0.8])
+    with pytest.raises(ConstructionError, match="support"):
+        SampledVector(base, support, probs, m=1.0, zeta=0.0)
+    SampledVector(base, [1, 2], [0.36, 0.64], m=1.0, zeta=0.0)
 
 
 def test_vector_file_round_trip(tmp_path, rng):

@@ -96,6 +96,20 @@ def test_malformed_file_reports_line(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_non_finite_matrix_reports_line(capsys, tmp_path):
+    bad = tmp_path / "nan.mat"
+    bad.write_text("2 2 2 1\n1 1 nan 0\n2 2 0.5 0\n")
+    for name in ("u", "v"):
+        (tmp_path / name).write_text("2\n0.6 0.0\n0.8 0.0\n")
+    save_polynomial(tmp_path / "p", EvenPolynomial.from_even_coeffs([0.0, 1.0]))
+    code, _, err = run_cli(
+        capsys, "estimate", "--matrix", str(bad), "--u",
+        str(tmp_path / "u"), "--v", str(tmp_path / "v"), "--poly",
+        str(tmp_path / "p"), "--eps", "0.2")
+    assert code == 2
+    assert "line 2: entry must be finite" in err
+
+
 def test_gen_kitaev_then_glh_decide(capsys, tmp_path):
     circ_path = tmp_path / "x.circ"
     save_circuit(circ_path, Circuit(1, 1, [Gate("X", (2,), GATES["X"])]))

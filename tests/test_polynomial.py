@@ -212,6 +212,18 @@ def test_low_degree_monomial_polynomial_saves_as_even(tmp_path):
     assert path.read_text() == "EVEN 2\n0.3\n0.0\n0.5\n"
 
 
+@pytest.mark.parametrize("P, usable", [
+    (EvenPolynomial.from_even_coeffs(np.full(16, 1 / 16)), True),   # degree 30
+    (EvenPolynomial.from_even_coeffs(np.full(17, 1 / 17)), False),  # degree 32
+    (EvenPolynomial([0.5, 0.5]), False),                            # no monomials
+])
+def test_usable_monomial_picks_the_file_format(tmp_path, P, usable):
+    assert P.has_usable_monomial() is usable
+    save_polynomial(tmp_path / "p.poly", P)
+    head = (tmp_path / "p.poly").read_text().split()[0]
+    assert head == ("EVEN" if usable else "EVEN_CHEB")
+
+
 def test_high_degree_filter_saves_as_even_cheb(tmp_path):
     P = build_threshold(SPEC)
     path = tmp_path / "filter.poly"

@@ -14,7 +14,7 @@ from svtkit.rand import (random_even_polynomial, random_sparse_matrix,
                          random_unit_vector)
 from svtkit.svt import (EstimatorConfig, QueryCounter, _contraction, chain_entry,
                         estimate_bilinear, min_sample_count, sample_values,
-                        single_sample, svt_entry, svt_entries)
+                        svt_entry, svt_entries)
 
 ONE = EvenPolynomial.from_even_coeffs([1.0])
 SQUARE = EvenPolynomial.from_even_coeffs([0.0, 1.0])
@@ -273,20 +273,35 @@ def test_norm_above_one_raises_config_error(rng):
     assert svt_entry(good, uq, P, 1) == before[0]
 
 
+@pytest.mark.parametrize("coeffs, monomial", [([0.2, 0.3, 0.1], True),
+                                               ([0.02] * 17, False)])
+def test_entry_engine_follows_usable_monomial(rng, monkeypatch, coeffs, monomial):
+    calls = []
+    chain = svt._svt_entry_monomial
+    monkeypatch.setattr(svt, "_svt_entry_monomial",
+                        lambda *args: calls.append(1) or chain(*args))
+    A = random_sparse_matrix(rng, 8, 8, 2)
+    u = random_unit_vector(rng, 8)
+    P = EvenPolynomial.from_even_coeffs(coeffs)
+    assert P.has_usable_monomial() is monomial
+    got = svt_entry(A, QueryVector(u), P, 3)
+    assert bool(calls) is monomial
+    assert abs(got - exact_svt_apply(A.to_dense(), P, u)[2]) < 1e-9
+
+
 def test_single_sample_point_mass(rng):
     u = random_unit_vector(rng, 4)
     A = SparseMatrix.from_dense(np.eye(4))
     v = exact_sampler(np.eye(4)[0])
-    for _ in range(5):
-        x = single_sample(A, QueryVector(u), v, ONE, rng)
-        assert x == u[0]  # v = e_1: X = u_1 m^2 / v_1 = u_1 = v^dag u
+    draws = sample_values(A, QueryVector(u), v, ONE, rng, 5)
+    assert np.all(draws == u[0])  # v = e_1: X = u_1 m^2 / v_1 = u_1 = v^dag u
 
 
 def test_single_sample_zero_matrix(rng):
     A = SparseMatrix.from_dense(np.zeros((4, 4)))
     u = QueryVector(random_unit_vector(rng, 4))
     v = exact_sampler(random_unit_vector(rng, 4))
-    assert single_sample(A, u, v, SQUARE, rng) == 0.0
+    assert np.all(sample_values(A, u, v, SQUARE, rng, 5) == 0.0)
 
 
 def test_single_sample_mean_tracks_exact(rng):
@@ -308,8 +323,9 @@ def test_sample_values_matches_single_sample_stream(rng):
     P = random_even_polynomial(rng, 2)
     r1 = np.random.default_rng(99)
     batch = sample_values(A, u, v, P, r1, 6)
-    r2 = np.random.default_rng(99)
-    singles = [single_sample(A, u, v, P, r2) for _ in range(6)]
+    idx = v.sample_many(np.random.default_rng(99), 6)
+    v_arr = v.base.dense()
+    singles = [svt_entry(A, u, P, int(j)) * v.m ** 2 / v_arr[j - 1] for j in idx]
     assert_allclose(batch, singles, atol=1e-13)
 
 
