@@ -1,13 +1,13 @@
 """Classical singular value transformation toolkit for sparse matrices.
 
-Per-entry evaluation of even-polynomial SVT through sparse recursion,
-sampling-based bilinear-form estimation, singular-value interval
-decisions, guided ground-energy estimation for local Hamiltonians, a
-circuit-to-Hamiltonian instance generator, and a dense brute-force
-oracle everything is validated against.
+Per-entry evaluation of even-polynomial SVT through a local Chebyshev
+recursion, sampling-based bilinear-form estimation, singular-value
+interval decisions, guided ground-energy estimation for local
+Hamiltonians, a circuit-to-Hamiltonian instance generator, and a dense
+brute-force oracle everything is validated against.
 """
 
-from .access import (AdjointView, QueryVector, SampledVector, SparseMatrix,
+from .access import (QueryVector, SampledVector, SparseMatrix,
                      distorted_sampler, exact_sampler)
 from .errors import (ConfigError, ConstructionError, InconsistencyError,
                      InvalidSamplerError, ParseError, ShapeError, SizeError)
@@ -23,7 +23,7 @@ from .svt import EstimatorConfig, chain_entry, estimate_bilinear, svt_entry
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjointView", "QueryVector", "SampledVector", "SparseMatrix",
+    "QueryVector", "SampledVector", "SparseMatrix",
     "distorted_sampler", "exact_sampler",
     "ConfigError", "ConstructionError", "InconsistencyError",
     "InvalidSamplerError", "ParseError", "ShapeError", "SizeError",

@@ -23,7 +23,6 @@ from .errors import ConstructionError, ParseError, reject_trailing
 __all__ = [
     "QueryVector",
     "SparseMatrix",
-    "AdjointView",
     "SampledVector",
     "exact_sampler",
     "distorted_sampler",
@@ -190,40 +189,12 @@ class SparseMatrix:
         lo, hi = self._csc.indptr[j], self._csc.indptr[j + 1]
         return self._csc.indices[lo:hi], self._csc.data[lo:hi]
 
-    def adjoint(self) -> "AdjointView":
-        """Conjugate-transpose access without materializing a new index."""
-        return AdjointView(self)
-
     def csr(self) -> sp.csr_matrix:
         """The underlying scipy CSR (shared, do not mutate)."""
         return self._csr
 
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
-
-
-class AdjointView:
-    """Row access to A-dagger obtained by swapping A's column index for a
-    row index and conjugating values on the fly."""
-
-    def __init__(self, base: SparseMatrix):
-        self._base = base
-
-    @property
-    def nrows(self) -> int:
-        return self._base.ncols
-
-    @property
-    def ncols(self) -> int:
-        return self._base.nrows
-
-    @property
-    def s(self) -> int:
-        return self._base.s
-
-    def row_nonzeros(self, i: int):
-        idx, vals = self._base.col_nonzeros(i)
-        return idx, np.conj(vals)
 
 
 class SampledVector:
@@ -248,6 +219,8 @@ class SampledVector:
             raise ConstructionError(f"sampler support leaves [0, {base.dim})")
         if np.unique(support).size != support.size:
             raise ConstructionError("sampler support repeats an index")
+        if not 0.0 <= zeta < 1.0:  # NaN fails too
+            raise ConstructionError("zeta must lie in [0, 1)")
         support = support.astype(np.int64)
         self.base = base
         self.m = float(m)
@@ -263,12 +236,13 @@ class SampledVector:
         ideal = np.abs(v[self._support]) ** 2 / nrm2
         lo = (1.0 - self.zeta) * ideal - 1e-12
         hi = (1.0 + self.zeta) * ideal + 1e-12
-        if np.any(self._probs < lo) or np.any(self._probs > hi):
+        # written so that a NaN probability or norm estimate fails each test
+        if not np.all((lo <= self._probs) & (self._probs <= hi)):
             raise ConstructionError("sampler probabilities leave the zeta band")
-        if abs(self._cdf[-1] - 1.0) > 1e-9:
+        if not abs(self._cdf[-1] - 1.0) <= 1e-9:
             raise ConstructionError("sampler probabilities do not sum to 1")
         nrm = np.sqrt(nrm2)
-        if abs(self.m - nrm) > self.zeta * nrm + 1e-12:
+        if not abs(self.m - nrm) <= self.zeta * nrm + 1e-12:
             raise ConstructionError("norm estimate violates |m - ||v||| <= zeta ||v||")
 
     @property

@@ -71,7 +71,9 @@ class LocalTerm:
         dim = 2 ** len(qubits)
         if block.shape != (dim, dim):
             raise ValueError(f"block must be {dim}x{dim} for {len(qubits)} qubits")
-        if not np.abs(block - block.conj().T).max() <= 1e-12:  # NaN fails too
+        if not np.all(np.isfinite(block)):
+            raise ValueError("block entries must be finite")
+        if not np.abs(block - block.conj().T).max() <= 1e-12:
             raise ValueError("block is not Hermitian to 1e-12")
         object.__setattr__(self, "block", block)
 

@@ -90,7 +90,9 @@ class Gate:
             raise ValueError("gates act on one or two distinct wires")
         if m.shape != (dim, dim):
             raise ValueError(f"gate matrix must be {dim}x{dim}")
-        if not np.abs(m @ m.conj().T - np.eye(dim)).max() <= 1e-12:  # NaN fails too
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"gate {self.name} entries must be finite")
+        if not np.abs(m @ m.conj().T - np.eye(dim)).max() <= 1e-12:
             raise ValueError(f"gate {self.name} is not unitary to 1e-12")
         object.__setattr__(self, "matrix", m)
 

@@ -12,22 +12,21 @@ analytic derivation alone.
 Polynomials are stored in the Chebyshev basis for numerical stability.
 An even polynomial of degree 2d is kept as the coefficients c_r of
 P(x) = sum_r c_r T_r(2 x^2 - 1), which evaluates through x^2 only and
-is therefore structurally even.  Conversion to monomial coefficients
-a_0, a_2, ..., a_{2d} is available but ill-conditioned above degree
-~30, and warns accordingly.
+is therefore structurally even.  Monomial coefficients a_0, a_2, ...,
+a_{2d} are accepted as input and converted to that basis once; nothing
+converts back.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.chebyshev import (Chebyshev, chebinterpolate, chebval,
-                                        cheb2poly, poly2cheb)
+                                        poly2cheb)
 from scipy.special import erf, erfinv
 
 from .errors import ConstructionError, ParseError, reject_trailing
@@ -45,29 +44,22 @@ __all__ = [
     "save_polynomial",
 ]
 
-MONOMIAL_DEGREE_LIMIT = 30
 CERT_TOLERANCE = 1e-9
 DEFAULT_GRID = 10_000
 DEFAULT_DEGREE_CAP = 512
 
 
-def _affine_compose_monomial(coeffs, shift, scale):
-    """Coefficients of p(shift + scale * y) given monomial coeffs of p."""
-    return Polynomial(coeffs)(Polynomial([shift, scale])).coef
-
-
 class EvenPolynomial:
-    """Even real polynomial P(x) = a_0 + a_2 x^2 + ... + a_{2d} x^{2d}."""
+    """Even real polynomial P(x) = sum_r c_r T_r(2 x^2 - 1) of degree 2d."""
 
-    def __init__(self, cheb_even, monomial_even=None, threshold_spec=None):
+    def __init__(self, cheb_even, threshold_spec=None):
         cr = np.atleast_1d(np.asarray(cheb_even, dtype=float))
         if cr.ndim != 1 or cr.size == 0:
             raise ValueError("expected a nonempty coefficient array")
+        if not np.all(np.isfinite(cr)):
+            raise ValueError("polynomial coefficients must be finite")
         self._cr = cr.copy()
         self._cr.flags.writeable = False
-        self._monomial = None if monomial_even is None else np.asarray(
-            monomial_even, dtype=float
-        )
         self.threshold_spec = threshold_spec
 
     @classmethod
@@ -76,9 +68,12 @@ class EvenPolynomial:
         a = np.atleast_1d(np.asarray(even_coeffs, dtype=float))
         if a.size == 0:
             raise ValueError("expected at least one coefficient")
-        # P(x) = G(x^2); re-expand G on y in [0, 1] in the variable w = 2y - 1.
-        g_in_w = _affine_compose_monomial(a, 0.5, 0.5)
-        return cls(poly2cheb(g_in_w), monomial_even=a.copy())
+        if not np.all(np.isfinite(a)):
+            raise ValueError("polynomial coefficients must be finite")
+        # P(x) = G(x^2); re-expand G on y in [0, 1] in the variable w = 2y - 1,
+        # i.e. compose G with y = 0.5 + 0.5 w.
+        g_in_w = Polynomial(a)(Polynomial([0.5, 0.5])).coef
+        return cls(poly2cheb(g_in_w))
 
     @property
     def degree(self) -> int:
@@ -87,31 +82,6 @@ class EvenPolynomial:
     def cheb_even(self) -> np.ndarray:
         """Coefficients c_r of P(x) = sum_r c_r T_r(2 x^2 - 1)."""
         return self._cr.copy()
-
-    def monomial_even(self) -> np.ndarray:
-        """Monomial coefficients [a_0, a_2, ..., a_{2d}].
-
-        The Chebyshev-to-monomial change of basis loses roughly one digit
-        per few degrees; above degree 30 the result is unreliable and a
-        warning is issued.
-        """
-        if self._monomial is None:
-            if self.degree > MONOMIAL_DEGREE_LIMIT:
-                warnings.warn(
-                    f"monomial conversion at degree {self.degree} is "
-                    f"ill-conditioned (reliable only up to degree "
-                    f"{MONOMIAL_DEGREE_LIMIT})",
-                    stacklevel=2,
-                )
-            h = cheb2poly(self._cr)  # G as monomials in w = 2y - 1
-            self._monomial = _affine_compose_monomial(h, -1.0, 2.0)
-        return self._monomial.copy()
-
-    def has_usable_monomial(self) -> bool:
-        """True when P was built from monomial coefficients and its degree
-        is at most MONOMIAL_DEGREE_LIMIT, where that basis stays exact
-        enough to evaluate and to save."""
-        return self._monomial is not None and self.degree <= MONOMIAL_DEGREE_LIMIT
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -353,27 +323,20 @@ def build_threshold_cached(spec: ThresholdSpec,
 
 
 # ---------------------------------------------------------------------------
-# Text formats.  "EVEN 2d", then the 2d+1 monomial coefficients a_0 ... a_{2d}
-# one per line (odd positions must be zero); or "EVEN_CHEB 2d", then the d+1
-# coefficients c_0 ... c_d of P(x) = sum_r c_r T_r(2 x^2 - 1) one per line.
+# Text formats.  "EVEN_CHEB 2d", then the d+1 coefficients c_0 ... c_d of
+# P(x) = sum_r c_r T_r(2 x^2 - 1) one per line; or, read only, "EVEN 2d",
+# then the 2d+1 monomial coefficients a_0 ... a_{2d} one per line (odd
+# positions must be zero).
 # ---------------------------------------------------------------------------
 
 
 def save_polynomial(path, P: EvenPolynomial):
-    """Write ``P`` as EVEN when it carries monomial coefficients of degree
-    at most 30, else as EVEN_CHEB, which stays exact at any degree."""
-    if P.has_usable_monomial():
-        a_even = P.monomial_even()
-        coeffs = np.zeros(2 * (a_even.size - 1) + 1)
-        coeffs[0::2] = a_even
-        head = f"EVEN {coeffs.size - 1}"
-    else:
-        coeffs = P.cheb_even()
-        head = f"EVEN_CHEB {P.degree}"
+    """Write ``P`` as EVEN_CHEB, which stores cheb_even() exactly at any
+    degree."""
     with open(path, "w") as fh:
-        fh.write(head + "\n")
-        for a in coeffs:
-            fh.write(f"{float(a)!r}\n")
+        fh.write(f"EVEN_CHEB {P.degree}\n")
+        for c in P.cheb_even():
+            fh.write(f"{float(c)!r}\n")
 
 
 def load_polynomial(path) -> EvenPolynomial:

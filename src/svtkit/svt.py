@@ -2,20 +2,19 @@
 
 Deterministic core: the i-th entry of B1 ... Br u for a chain of sparse
 matrices is computed by recursing over row nonzeros, memoizing
-(chain depth, index) pairs, at cost O(s^r) row fetches.  The entry of
-P(sqrt(A-dagger A)) u follows from the even-coefficient expansion
-a_0 u + a_2 (A-dagger A) u + ... + a_{2d} (A-dagger A)^d u.
+(chain depth, index) pairs, at cost O(s^r) row fetches.
 
-Monomial coefficients are numerically unusable above degree ~30, but
-threshold filters routinely need degree in the hundreds, so entry
-evaluation dispatches: low-degree polynomials with monomial
-coefficients go through the sparse chain recursion above; everything
-else is evaluated through the identity T_{2r}(x) = T_r(2 x^2 - 1) by a
-three-term Chebyshev recurrence in the Hermitian contraction
-S = 2 A-dagger A - I, whose spectrum lies in [-1, 1].  Both paths
-compute the same operator polynomial.  The recurrence checks
-||T_r(S) u||^2 <= (1 + NORM_TOLERANCE) ||u||^2 at every step, which
-holds whenever ||A|| <= 1, and raises ConfigError when it fails.
+An entry of P(sqrt(A-dagger A)) u is evaluated through the identity
+T_{2r}(x) = T_r(2 x^2 - 1) as sum_r c_r (T_r(S) u)_i in the Hermitian
+contraction S = 2 A-dagger A - I, whose spectrum lies in [-1, 1].  Up
+to degree LOCAL_DEGREE_LIMIT this sum is computed locally: a memoized
+three-term recurrence reads only the columns and rows of A within
+reach of i, at a cost of about s^(2d) row fetches that does not depend
+on N.  Above it the whole vector comes from the same recurrence on all
+of S, which checks ||T_r(S) u||^2 <= (1 + NORM_TOLERANCE) ||u||^2 at
+every step, which holds whenever ||A|| <= 1, and raises ConfigError
+when it fails.  Both engines compute the same operator polynomial from
+the same Chebyshev coefficients; the choice depends on the degree only.
 
 Each thread keeps one slot holding (A, S, u, P, w) from its last
 Chebyshev apply, keyed on object identity: a call with the same A
@@ -71,6 +70,10 @@ __all__ = [
 # 2.5e-10 (squared growth at most 3e-4), while ||A|| = 1.02 trips it
 # within a dozen steps.
 NORM_TOLERANCE = 1e-3
+
+# The local engine costs about s^(2d) row fetches; 30 is the highest degree
+# the monomial chain recursion served, so each input it served stays local.
+LOCAL_DEGREE_LIMIT = 30
 
 _last_apply = threading.local()
 
@@ -210,35 +213,66 @@ def svt_entry(A: SparseMatrix, u: QueryVector, P: EvenPolynomial, i: int,
               counter: QueryCounter | None = None) -> complex:
     """i-th entry of P(sqrt(A-dagger A)) u.
 
-    Low-degree polynomials with monomial coefficients use the sparse
-    chain recursion on [A-dagger, A] pairs with a memo shared across the
-    powers (keyed on chain depth and index).  Higher degrees use the
-    Chebyshev recurrence, whose whole vector stays in this thread's
-    slot, so further entries of the same (A, u, P) cost no recompute;
-    values agree to machine precision.  On that path ||A|| > 1 raises
-    ConfigError.
+    Up to degree LOCAL_DEGREE_LIMIT the entry comes from the local
+    Chebyshev recursion over the rows and columns of A near i, at a
+    query cost independent of N.  Higher degrees use the Chebyshev
+    recurrence on the whole vector, which stays in this thread's slot,
+    so further entries of the same (A, u, P) cost no recompute; on that
+    path ||A|| > 1 raises ConfigError.  Values agree to machine
+    precision.
     """
     if A.ncols != u.dim:
         raise ShapeError(f"matrix has {A.ncols} columns, vector has {u.dim}")
     if not 1 <= i <= A.ncols:
         raise IndexError(f"index {i} out of range [1, {A.ncols}]")
-    if P.has_usable_monomial():
-        return _svt_entry_monomial(A, u, P, i, counter)
+    if P.degree <= LOCAL_DEGREE_LIMIT:
+        return _local_entry(A, u.dense(), P.cheb_even(), i - 1, counter)
     return complex(_cheb_apply(A, u.dense(), P, counter)[i - 1])
 
 
-def _svt_entry_monomial(A, u, P, i, counter=None) -> complex:
-    # the suffix of length 2r of [Adag, A] * d is [Adag, A] * r, so one
-    # memo serves every power
-    a = P.monomial_even()
-    d = a.size - 1
-    u_arr = u.dense()
-    value = _chain_value([A.adjoint(), A] * d, u_arr, {}, counter)
-    total = a[0] * u_arr[i - 1]
-    for r in range(1, d + 1):
-        if a[r] != 0.0:
-            total = total + a[r] * value(2 * r, i - 1)
-    return complex(total)
+def _local_entry(A: SparseMatrix, u_arr: np.ndarray, cr: np.ndarray, i: int,
+                 counter: QueryCounter | None = None) -> complex:
+    """sum_r cr[r] (T_r(S) u)_i at 0-based i, for S = 2 A-dagger A - I.
+
+    Memoizes t[(r, k)] = (T_r(S) u)_k, read through column k of A, and
+    g[(r, j)] = (A T_r(S) u)_j, read through row j; each memo miss
+    charges one row fetch, as the chain recursion does.
+    """
+    t: dict = {}
+    g: dict = {}
+    s = A.s
+
+    def t_val(r: int, k: int) -> complex:
+        if r == 0:
+            return complex(u_arr[k])
+        got = t.get((r, k))
+        if got is not None:
+            return got
+        rows, vals = A.col_nonzeros(k)
+        if counter is not None:
+            counter.account_row(len(rows), s)
+        acc = 0j
+        for j, a in zip(rows.tolist(), vals.tolist()):
+            acc += a.conjugate() * g_val(r - 1, j)
+        x = 2.0 * acc - t_val(r - 1, k)  # (S T_{r-1}(S) u)_k
+        val = x if r == 1 else 2.0 * x - t_val(r - 2, k)
+        t[(r, k)] = val
+        return val
+
+    def g_val(r: int, j: int) -> complex:
+        got = g.get((r, j))
+        if got is not None:
+            return got
+        cols, vals = A.row_nonzeros(j)
+        if counter is not None:
+            counter.account_row(len(cols), s)
+        acc = 0j
+        for k, a in zip(cols.tolist(), vals.tolist()):
+            acc += a * t_val(r, k)
+        g[(r, j)] = acc
+        return acc
+
+    return sum(c * t_val(r, i) for r, c in enumerate(cr.tolist()))
 
 
 def svt_entries(A: SparseMatrix, u: QueryVector, P: EvenPolynomial,
@@ -366,7 +400,7 @@ def _validate_estimate_inputs(A, u, v, P, cfg):
     if u.norm() > 1.0 + 1e-9 or v.base.norm() > 1.0 + 1e-9:
         raise ConfigError("vectors must have norm at most 1")
     xs = np.linspace(-1.0, 1.0, 1001)
-    if np.abs(P(xs)).max() > 1.0 + 1e-9:
+    if not np.abs(P(xs)).max() <= 1.0 + 1e-9:  # NaN fails too
         raise ConfigError("polynomial must satisfy |P| <= 1 on [-1, 1]")
 
 

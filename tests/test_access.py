@@ -123,19 +123,6 @@ def test_sparsity_invariant_holds(rng):
         assert counts_r.max() <= A.s and counts_c.max() <= A.s
 
 
-def test_adjoint_view(rng):
-    from svtkit.rand import random_sparse_matrix
-    A = random_sparse_matrix(rng, 6, 9, 3)
-    adj = A.adjoint()
-    assert (adj.nrows, adj.ncols) == (9, 6)
-    dense = A.to_dense().conj().T
-    for i in range(9):
-        cols, vals = adj.row_nonzeros(i)
-        row = np.zeros(6, dtype=complex)
-        row[cols] = vals
-        assert_allclose(row, dense[i], atol=0)
-
-
 def test_sample_point_mass(rng):
     v = exact_sampler(np.eye(4)[2])
     assert np.all(v.sample_many(rng, 20) == 3)
@@ -293,6 +280,19 @@ def test_sampled_vector_rejects_bad_support(support, probs):
     with pytest.raises(ConstructionError, match="support"):
         SampledVector(base, support, probs, m=1.0, zeta=0.0)
     SampledVector(base, [1, 2], [0.36, 0.64], m=1.0, zeta=0.0)
+
+
+@pytest.mark.parametrize("probs, m, zeta, match", [
+    ([0.36, 0.64], 7.0, np.nan, "zeta"),      # NaN zeta hid a far-off m
+    ([0.36, 0.64], 1.0, 1.0, "zeta"),
+    ([np.nan, 0.64], 1.0, 0.0, "band"),
+    ([0.36, 0.64], np.nan, 0.0, "norm"),
+])
+def test_sampled_vector_rejects_nan_and_out_of_range_values(probs, m, zeta, match):
+    from svtkit.access import SampledVector
+    base = QueryVector([0.6, 0.8])
+    with pytest.raises(ConstructionError, match=match):
+        SampledVector(base, [0, 1], probs, m=m, zeta=zeta)
 
 
 def test_vector_file_round_trip(tmp_path, rng):

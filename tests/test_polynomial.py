@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -187,14 +186,17 @@ def test_degenerate_plateau_builds():
 def test_monomial_conversion_round_trip(rng):
     coeffs = rng.normal(size=4)
     P = EvenPolynomial.from_even_coeffs(coeffs)
-    assert_allclose(P.monomial_even(), coeffs, atol=1e-12)
+    xs = rng.uniform(-1, 1, size=50)
+    naive = sum(a * xs ** (2 * k) for k, a in enumerate(coeffs))
+    assert_allclose(P(xs), naive, atol=1e-12)
 
 
-def test_monomial_conversion_warns_at_high_degree():
-    P = build_threshold(SPEC)
-    assert P.degree > 30
-    with pytest.warns(UserWarning, match="ill-conditioned"):
-        P.monomial_even()
+@pytest.mark.parametrize("bad", [[np.nan, 0.5], [np.inf, 0.5], [0.5, -np.inf]])
+def test_non_finite_coefficients_are_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        EvenPolynomial(bad)
+    with pytest.raises(ValueError, match="finite"):
+        EvenPolynomial.from_even_coeffs(bad)
 
 
 def test_polynomial_file_round_trip(tmp_path, rng):
@@ -203,34 +205,37 @@ def test_polynomial_file_round_trip(tmp_path, rng):
     save_polynomial(path, P)
     Q = load_polynomial(path)
     assert Q.degree == P.degree
-    assert_allclose(Q.monomial_even(), P.monomial_even(), atol=1e-15)
+    assert np.array_equal(Q.cheb_even(), P.cheb_even())
 
 
-def test_low_degree_monomial_polynomial_saves_as_even(tmp_path):
+def test_low_degree_monomial_polynomial_saves_as_even_cheb(tmp_path):
     path = tmp_path / "p.poly"
-    save_polynomial(path, EvenPolynomial.from_even_coeffs([0.3, 0.5]))
-    assert path.read_text() == "EVEN 2\n0.3\n0.0\n0.5\n"
+    P = EvenPolynomial.from_even_coeffs([0.3, 0.5])
+    save_polynomial(path, P)
+    c0, c1 = P.cheb_even()
+    assert path.read_text() == f"EVEN_CHEB 2\n{float(c0)!r}\n{float(c1)!r}\n"
+    legacy = tmp_path / "legacy.poly"
+    legacy.write_text("EVEN 2\n0.3\n0.0\n0.5\n")  # EVEN is still read
+    assert np.array_equal(load_polynomial(legacy).cheb_even(), P.cheb_even())
 
 
-@pytest.mark.parametrize("P, usable", [
-    (EvenPolynomial.from_even_coeffs(np.full(16, 1 / 16)), True),   # degree 30
-    (EvenPolynomial.from_even_coeffs(np.full(17, 1 / 17)), False),  # degree 32
-    (EvenPolynomial([0.5, 0.5]), False),                            # no monomials
+@pytest.mark.parametrize("P", [
+    EvenPolynomial.from_even_coeffs(np.full(16, 1 / 16)),  # degree 30
+    EvenPolynomial.from_even_coeffs(np.full(17, 1 / 17)),  # degree 32
+    EvenPolynomial([0.5, 0.5]),
 ])
-def test_usable_monomial_picks_the_file_format(tmp_path, P, usable):
-    assert P.has_usable_monomial() is usable
-    save_polynomial(tmp_path / "p.poly", P)
-    head = (tmp_path / "p.poly").read_text().split()[0]
-    assert head == ("EVEN" if usable else "EVEN_CHEB")
+def test_every_polynomial_saves_as_even_cheb(tmp_path, P):
+    path = tmp_path / "p.poly"
+    save_polynomial(path, P)
+    assert path.read_text().split()[0] == "EVEN_CHEB"
+    assert np.array_equal(load_polynomial(path).cheb_even(), P.cheb_even())
 
 
 def test_high_degree_filter_saves_as_even_cheb(tmp_path):
     P = build_threshold(SPEC)
     path = tmp_path / "filter.poly"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no monomial conversion
-        save_polynomial(path, P)
-        Q = load_polynomial(path)
+    save_polynomial(path, P)
+    Q = load_polynomial(path)
     assert path.read_text().startswith(f"EVEN_CHEB {P.degree}\n")
     assert np.array_equal(Q.cheb_even(), P.cheb_even())
     assert verify_threshold(Q, SPEC).passed
@@ -247,12 +252,9 @@ def test_polynomial_file_round_trip_is_exact(tmp_path_factory, coeffs, monomial)
     path = tmp_path_factory.mktemp("poly") / "p.poly"
     save_polynomial(path, P)
     Q = load_polynomial(path)
-    as_even = monomial and P.degree <= 30
-    assert path.read_text().split()[0] == ("EVEN" if as_even else "EVEN_CHEB")
+    assert path.read_text().split()[0] == "EVEN_CHEB"
     assert Q.degree == P.degree
     assert np.array_equal(Q.cheb_even(), P.cheb_even())
-    if as_even:
-        assert np.array_equal(Q.monomial_even(), P.monomial_even())
 
 
 @pytest.mark.parametrize("text, line", [

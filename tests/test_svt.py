@@ -29,7 +29,8 @@ def test_chain_identity():
 def test_chain_diagonal_gram():
     A = SparseMatrix.from_dense(np.diag([0.5, 0.25]))
     u = QueryVector([1.0, 1.0])
-    assert chain_entry([A.adjoint(), A], u, 1) == 0.25
+    A_dag = SparseMatrix.from_dense(A.to_dense().conj().T)
+    assert chain_entry([A_dag, A], u, 1) == 0.25
 
 
 def test_chain_matches_dense_product(rng):
@@ -119,9 +120,9 @@ def test_svt_entry_paths_agree(rng):
     A = random_sparse_matrix(rng, 16, 16, 3)
     u = QueryVector(random_unit_vector(rng, 16))
     P = random_even_polynomial(rng, 4)
-    cheb_only = EvenPolynomial(P.cheb_even())
+    whole = svt_entries(A, u, P, np.arange(1, 17))  # the whole-vector apply
     for i in (1, 7, 16):
-        assert abs(svt_entry(A, u, P, i) - svt_entry(A, u, cheb_only, i)) < 1e-12
+        assert abs(svt_entry(A, u, P, i) - whole[i - 1]) < 1e-12
 
 
 def test_svt_entries_block_matches_single(rng):
@@ -150,8 +151,8 @@ SCAN_FILTER = ThresholdSpec(0.5, 0.71875, 0.5, 0.03125, 1 / 12)  # degree 730
 
 
 def _cheb_only(rng, d):
-    """Random bounded even polynomial of degree 2d without monomial
-    coefficients, so svt_entry takes the Chebyshev path at any degree."""
+    """Random bounded even polynomial of degree 2d built in the Chebyshev
+    basis; above degree 30 svt_entry takes the whole-vector path."""
     return EvenPolynomial(random_even_polynomial(rng, d).cheb_even())
 
 
@@ -175,7 +176,7 @@ def test_interleaved_cheb_applies_are_never_stale(rng):
     As = [random_sparse_matrix(rng, 12, 12, 3) for _ in range(2)]
     us = [random_unit_vector(rng, 12) for _ in range(2)]
     uqs = [QueryVector(u) for u in us]
-    Ps = [_cheb_only(rng, 4), build_threshold_cached(FILTER)]
+    Ps = [_cheb_only(rng, 16), build_threshold_cached(FILTER)]
     exact = {(a, b, c): exact_svt_apply(As[a].to_dense(), Ps[c], us[b])
              for a in range(2) for b in range(2) for c in range(2)}
     keys = list(exact) * 3
@@ -243,7 +244,7 @@ def test_threads_keep_separate_apply_slots(rng):
 def test_svt_entries_returns_a_writable_copy(rng):
     A = random_sparse_matrix(rng, 10, 10, 2)
     u = QueryVector(random_unit_vector(rng, 10))
-    P = _cheb_only(rng, 6)
+    P = _cheb_only(rng, 16)
     idx = np.arange(1, 11)
     block = svt_entries(A, u, P, idx)
     keep = block.copy()
@@ -273,20 +274,37 @@ def test_norm_above_one_raises_config_error(rng):
     assert svt_entry(good, uq, P, 1) == before[0]
 
 
-@pytest.mark.parametrize("coeffs, monomial", [([0.2, 0.3, 0.1], True),
-                                               ([0.02] * 17, False)])
-def test_entry_engine_follows_usable_monomial(rng, monkeypatch, coeffs, monomial):
+def test_entry_engine_follows_degree(rng, monkeypatch):
     calls = []
-    chain = svt._svt_entry_monomial
-    monkeypatch.setattr(svt, "_svt_entry_monomial",
-                        lambda *args: calls.append(1) or chain(*args))
+    local = svt._local_entry
+    monkeypatch.setattr(svt, "_local_entry",
+                        lambda *args: calls.append(1) or local(*args))
     A = random_sparse_matrix(rng, 8, 8, 2)
     u = random_unit_vector(rng, 8)
-    P = EvenPolynomial.from_even_coeffs(coeffs)
-    assert P.has_usable_monomial() is monomial
-    got = svt_entry(A, QueryVector(u), P, 3)
-    assert bool(calls) is monomial
-    assert abs(got - exact_svt_apply(A.to_dense(), P, u)[2]) < 1e-9
+    cheb = EvenPolynomial([0.5, 0.25, 0.25])
+    twin = EvenPolynomial.from_even_coeffs([0.5, -1.5, 2.0])
+    assert np.array_equal(twin.cheb_even(), cheb.cheb_even())
+    high = _cheb_only(rng, 16)
+    for P, local_path in ((cheb, True), (twin, True), (high, False)):
+        calls.clear()
+        got = svt_entry(A, QueryVector(u), P, 3)
+        assert bool(calls) is local_path
+        assert abs(got - exact_svt_apply(A.to_dense(), P, u)[2]) < 1e-9
+
+
+def test_local_entry_cost_does_not_depend_on_n(rng):
+    block = random_sparse_matrix(rng, 16, 16, 3).to_dense()
+    P = random_even_polynomial(rng, 3)
+    costs = []
+    for n in (64, 1024):
+        A = SparseMatrix.from_dense(np.kron(np.eye(n // 16), block), s=3)
+        u = QueryVector(random_unit_vector(np.random.default_rng(5), n))
+        idx = np.array([1, 9, 16])
+        counter = QueryCounter()
+        got = [svt_entry(A, u, P, int(i), counter=counter) for i in idx]
+        assert_allclose(got, svt_entries(A, u, P, idx), rtol=0, atol=1e-12)
+        costs.append(counter)
+    assert costs[0] == costs[1] and costs[0].row_fetches > 0
 
 
 def test_single_sample_point_mass(rng):
@@ -431,6 +449,18 @@ def test_estimate_validates_preconditions(rng):
     loud = EvenPolynomial.from_even_coeffs([2.0])
     with pytest.raises(ConfigError, match="polynomial"):
         estimate_bilinear(A, u, v, loud, cfg)
+
+
+def test_estimate_rejects_a_polynomial_that_evaluates_to_nan(rng, monkeypatch):
+    A = random_sparse_matrix(rng, 8, 8, 2)
+    u = QueryVector(random_unit_vector(rng, 8))
+    v = exact_sampler(random_unit_vector(rng, 8))
+    P = EvenPolynomial([0.5, 0.25])
+    monkeypatch.setattr(EvenPolynomial, "__call__",
+                        lambda self, x: np.full(np.shape(x), np.nan))
+    cfg = EstimatorConfig.for_target(0.2, 0.05)
+    with pytest.raises(ConfigError, match="polynomial"):
+        estimate_bilinear(A, u, v, P, cfg)
 
 
 def test_estimate_with_distorted_sampler_stays_within_eps(rng):
