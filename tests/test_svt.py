@@ -274,11 +274,31 @@ def test_norm_above_one_raises_config_error(rng):
     assert svt_entry(good, uq, P, 1) == before[0]
 
 
-def test_entry_engine_follows_degree(rng, monkeypatch):
+def _spy_local_entry(monkeypatch):
     calls = []
     local = svt._local_entry
     monkeypatch.setattr(svt, "_local_entry",
                         lambda *args: calls.append(1) or local(*args))
+    return calls
+
+
+# Degree 4 (whose monomial form is usable) takes the local recursion;
+# degree 32 (whose monomial form is not) goes past LOCAL_DEGREE_LIMIT.
+@pytest.mark.parametrize("coeffs, monomial", [([0.2, 0.3, 0.1], True),
+                                               ([0.02] * 17, False)])
+def test_entry_engine_follows_usable_monomial(rng, monkeypatch, coeffs, monomial):
+    calls = _spy_local_entry(monkeypatch)
+    A = random_sparse_matrix(rng, 8, 8, 2)
+    u = random_unit_vector(rng, 8)
+    P = EvenPolynomial.from_even_coeffs(coeffs)
+    assert (P.degree <= svt.LOCAL_DEGREE_LIMIT) is monomial
+    got = svt_entry(A, QueryVector(u), P, 3)
+    assert bool(calls) is monomial
+    assert abs(got - exact_svt_apply(A.to_dense(), P, u)[2]) < 1e-9
+
+
+def test_entry_engine_follows_degree(rng, monkeypatch):
+    calls = _spy_local_entry(monkeypatch)
     A = random_sparse_matrix(rng, 8, 8, 2)
     u = random_unit_vector(rng, 8)
     cheb = EvenPolynomial([0.5, 0.25, 0.25])
