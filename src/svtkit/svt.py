@@ -13,8 +13,11 @@ reach of i, at a cost of about s^(2d) row fetches that does not depend
 on N.  Above it the whole vector comes from the same recurrence on all
 of S, which checks ||T_r(S) u||^2 <= (1 + NORM_TOLERANCE) ||u||^2 at
 every step, which holds whenever ||A|| <= 1, and raises ConfigError
-when it fails.  Both engines compute the same operator polynomial from
-the same Chebyshev coefficients; the choice depends on the degree only.
+when it fails.  The local recursion checks each entry it computes
+against the same bound, so it raises only when the blow-up reaches
+the entries within reach of i.  Both engines compute the same operator
+polynomial from the same Chebyshev coefficients; the choice depends on
+the degree only.
 
 Each thread keeps one slot holding (A, S, u, P, w) from its last
 Chebyshev apply, keyed on object identity: a call with the same A
@@ -73,6 +76,10 @@ NORM_TOLERANCE = 1e-3
 
 # The local engine costs about s^(2d) row fetches; 30 is the highest degree
 # the monomial chain recursion served, so each input it served stays local.
+# It is not a tuned crossover: for 16 entries of one vector at N = 256 the
+# slot's whole-vector apply is faster from degree 4 up (s = 4, degree 30:
+# 233 ms local against 0.8 ms), while the local cost does not grow with N.
+# The entry benchmark runs degrees 2-12 locally and 186 on the slot.
 LOCAL_DEGREE_LIMIT = 30
 
 _last_apply = threading.local()
@@ -217,9 +224,10 @@ def svt_entry(A: SparseMatrix, u: QueryVector, P: EvenPolynomial, i: int,
     Chebyshev recursion over the rows and columns of A near i, at a
     query cost independent of N.  Higher degrees use the Chebyshev
     recurrence on the whole vector, which stays in this thread's slot,
-    so further entries of the same (A, u, P) cost no recompute; on that
-    path ||A|| > 1 raises ConfigError.  Values agree to machine
-    precision.
+    so further entries of the same (A, u, P) cost no recompute.  Both
+    paths raise ConfigError when ||A|| > 1 shows: the whole-vector path
+    in any entry, the local path in the entries it reads.  Values agree
+    to machine precision.
     """
     if A.ncols != u.dim:
         raise ShapeError(f"matrix has {A.ncols} columns, vector has {u.dim}")
@@ -236,11 +244,15 @@ def _local_entry(A: SparseMatrix, u_arr: np.ndarray, cr: np.ndarray, i: int,
 
     Memoizes t[(r, k)] = (T_r(S) u)_k, read through column k of A, and
     g[(r, j)] = (A T_r(S) u)_j, read through row j; each memo miss
-    charges one row fetch, as the chain recursion does.
+    charges one row fetch, as the chain recursion does.  When ||A|| <= 1,
+    |(T_r(S) u)_k|^2 <= ||T_r(S) u||^2 <= ||u||^2, so each new t entry
+    is checked against (1 + NORM_TOLERANCE) ||u||^2 and ConfigError is
+    raised when one exceeds it.
     """
     t: dict = {}
     g: dict = {}
     s = A.s
+    bound = (1.0 + NORM_TOLERANCE) * np.vdot(u_arr, u_arr).real
 
     def t_val(r: int, k: int) -> complex:
         if r == 0:
@@ -256,6 +268,10 @@ def _local_entry(A: SparseMatrix, u_arr: np.ndarray, cr: np.ndarray, i: int,
             acc += a.conjugate() * g_val(r - 1, j)
         x = 2.0 * acc - t_val(r - 1, k)  # (S T_{r-1}(S) u)_k
         val = x if r == 1 else 2.0 * x - t_val(r - 2, k)
+        if not abs(val) ** 2 <= bound:
+            raise ConfigError(
+                f"||A|| exceeds 1: |(T_{r}(2 A^dag A - I) u)_{k + 1}|^2 "
+                f"exceeds (1 + {NORM_TOLERANCE}) ||u||^2")
         t[(r, k)] = val
         return val
 

@@ -272,6 +272,12 @@ def test_norm_above_one_raises_config_error(rng):
     with pytest.raises(ConfigError, match="exceeds 1"):
         estimate_bilinear(bad, uq, exact_sampler(u), P, cfg)
     assert svt_entry(good, uq, P, 1) == before[0]
+    local = EvenPolynomial([0.0] * 15 + [1.0])  # T_15(2x^2 - 1), degree 30
+    assert local.degree <= svt.LOCAL_DEGREE_LIMIT
+    with pytest.raises(ConfigError, match="exceeds 1"):
+        svt_entry(bad, uq, local, 1)
+    got = svt_entry(good, uq, local, 1)
+    assert abs(got - exact_svt_apply(good.to_dense(), local, u)[0]) < 1e-12
 
 
 def _spy_local_entry(monkeypatch):
@@ -282,33 +288,33 @@ def _spy_local_entry(monkeypatch):
     return calls
 
 
-# Degree 4 (whose monomial form is usable) takes the local recursion;
-# degree 32 (whose monomial form is not) goes past LOCAL_DEGREE_LIMIT.
-@pytest.mark.parametrize("coeffs, monomial", [([0.2, 0.3, 0.1], True),
-                                               ([0.02] * 17, False)])
-def test_entry_engine_follows_usable_monomial(rng, monkeypatch, coeffs, monomial):
+# The engine follows degree: degree 4 takes the local recursion, degree
+# 32 goes past LOCAL_DEGREE_LIMIT to the whole-vector apply.
+@pytest.mark.parametrize("coeffs, local_path", [([0.2, 0.3, 0.1], True),
+                                                 ([0.02] * 17, False)])
+def test_entry_engine_follows_usable_monomial(rng, monkeypatch, coeffs,
+                                              local_path):
     calls = _spy_local_entry(monkeypatch)
     A = random_sparse_matrix(rng, 8, 8, 2)
     u = random_unit_vector(rng, 8)
     P = EvenPolynomial.from_even_coeffs(coeffs)
-    assert (P.degree <= svt.LOCAL_DEGREE_LIMIT) is monomial
+    assert (P.degree <= svt.LOCAL_DEGREE_LIMIT) is local_path
     got = svt_entry(A, QueryVector(u), P, 3)
-    assert bool(calls) is monomial
+    assert bool(calls) is local_path
     assert abs(got - exact_svt_apply(A.to_dense(), P, u)[2]) < 1e-9
 
 
-def test_entry_engine_follows_degree(rng, monkeypatch):
+def test_entry_engine_ignores_basis(rng, monkeypatch):
     calls = _spy_local_entry(monkeypatch)
     A = random_sparse_matrix(rng, 8, 8, 2)
     u = random_unit_vector(rng, 8)
     cheb = EvenPolynomial([0.5, 0.25, 0.25])
     twin = EvenPolynomial.from_even_coeffs([0.5, -1.5, 2.0])
     assert np.array_equal(twin.cheb_even(), cheb.cheb_even())
-    high = _cheb_only(rng, 16)
-    for P, local_path in ((cheb, True), (twin, True), (high, False)):
+    for P in (cheb, twin):
         calls.clear()
         got = svt_entry(A, QueryVector(u), P, 3)
-        assert bool(calls) is local_path
+        assert calls
         assert abs(got - exact_svt_apply(A.to_dense(), P, u)[2]) < 1e-9
 
 
