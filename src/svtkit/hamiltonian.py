@@ -13,7 +13,10 @@ and singular values coincide inside [1/2, 1].  Ground-energy estimation
 runs fuzzy bisection: each decision on overlapping windows (a, b)
 around the midpoint of the current interval shrinks it to about half,
 and any answer inside (a, b) is correct, so O(log 1/eps) decisions pin
-lambda_H to within eps/2 with no outcome pattern to check.
+lambda_H to within eps/2 with no outcome pattern to check.  Every
+decision of one estimate shares the shifted matrix and the guide, so in
+the default exact contraction mode they share one Chebyshev moment
+pass and differ only in the filter contracted with it.
 """
 
 from __future__ import annotations
@@ -263,31 +266,44 @@ class GlhEstimate:
     scan_steps: int
     decisions: list = field(default_factory=list)
 
+    @property
+    def margin_min(self) -> float:
+        """Smallest |margin| over the decisions: how close the closest
+        one came to the other answer, in units of its eps."""
+        return min(abs(d.sve.margin) for d in self.decisions)
+
+    @property
+    def degree(self) -> int:
+        """Highest filter degree over the decisions."""
+        return max(d.sve.degree for d in self.decisions)
+
 
 def _decide_shifted(shifted: SparseMatrix, guide: SampledVector, a: float,
-                    b: float, delta: float, fail_prob: float,
-                    seed: int) -> GlhDecision:
+                    b: float, delta: float, fail_prob: float, seed: int,
+                    contraction: str) -> GlhDecision:
     problem = SveProblem(matrix=shifted, guide=guide, t1=0.5, t2=(3.0 + a) / 4.0,
                          theta1=0.5, theta2=(b - a) / 4.0, delta=delta)
     sve = decide_singular_interval(problem, fail_prob=fail_prob, seed=seed,
-                                   degree_cap=GLH_DEGREE_CAP)
+                                   degree_cap=GLH_DEGREE_CAP,
+                                   contraction=contraction)
     decision = LOW if sve.decision == HAS_SV else HIGH
     return GlhDecision(decision=decision, a=a, b=b, sve=sve)
 
 
 def decide_glh(problem: GlhProblem, fail_prob: float = 0.01,
-               seed: int = 0) -> GlhDecision:
+               seed: int = 0, contraction: str = "exact") -> GlhDecision:
     """Decide lambda_H <= a (LOW) versus lambda_H >= b (HIGH).
 
     Eigenvalues of (H + 3I)/4 equal its singular values and lie in
     [1/2, 1]; lambda_H <= a becomes a singular value in
-    [1/2, (3 + a)/4] and the interval decision applies unchanged.
+    [1/2, (3 + a)/4] and the interval decision applies unchanged, in
+    the ``contraction`` mode of sve.decide_singular_interval.
     """
     if problem.a is None or problem.b is None:
         raise ConfigError("decision form requires thresholds a and b")
     shifted = assemble_sparse(problem.hamiltonian, shift=True)
     return _decide_shifted(shifted, problem.guide, problem.a, problem.b,
-                           problem.delta, fail_prob, seed)
+                           problem.delta, fail_prob, seed, contraction)
 
 
 def _bisection_steps(eps: float) -> int:
@@ -301,7 +317,8 @@ def _bisection_steps(eps: float) -> int:
 
 
 def estimate_ground_energy(problem: GlhProblem, fail_prob: float = 0.05,
-                           seed: int = 0) -> GlhEstimate:
+                           seed: int = 0,
+                           contraction: str = "exact") -> GlhEstimate:
     """Estimate lambda_H to within eps/2 by fuzzy bisection.
 
     The interval [lo, hi] starts at [-1, 1].  Each step decides
@@ -311,6 +328,9 @@ def estimate_ground_energy(problem: GlhProblem, fail_prob: float = 0.05,
     correct when lambda_H falls inside (a, b), so if every decision is
     correct the interval keeps lambda_H; the step count is fixed so that
     its final width is at most eps, and the midpoint is returned.
+    Each decision runs in the ``contraction`` mode of
+    sve.decide_singular_interval; in exact mode they share one moment
+    pass, and the seed is unused.
     """
     if problem.eps is None:
         raise ConfigError("estimation form requires a target precision eps")
@@ -326,7 +346,8 @@ def estimate_ground_energy(problem: GlhProblem, fail_prob: float = 0.05,
         mid = (lo + hi) / 2.0
         a, b = mid - h, mid + h
         d = _decide_shifted(shifted, problem.guide, a, b, problem.delta,
-                            per_step_fail, step_seed.generate_state(1)[0])
+                            per_step_fail, step_seed.generate_state(1)[0],
+                            contraction)
         if d.decision == LOW:
             hi = b
         else:

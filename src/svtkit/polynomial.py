@@ -27,7 +27,6 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.chebyshev import (Chebyshev, chebinterpolate, chebval,
                                         poly2cheb)
-from scipy.special import erf, erfinv
 
 from .errors import ConstructionError, ParseError, reject_trailing
 
@@ -47,6 +46,28 @@ __all__ = [
 CERT_TOLERANCE = 1e-9
 DEFAULT_GRID = 10_000
 DEFAULT_DEGREE_CAP = 512
+
+# math.erf elementwise; importing scipy.special for it would add about 5 MB
+# of resident memory to every process that imports svtkit.
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
+def _erfinv(y: float) -> float:
+    """x with erf(x) = y, for y in [1/2, 1).
+
+    Newton steps on erfc(x) = 1 - y, which is exact in floating point
+    there and keeps full relative precision as y approaches 1.  erfc is
+    decreasing and convex on x > 0, so after the first step the iterates
+    rise monotonically to the root.
+    """
+    t = 1.0 - y
+    x = math.sqrt(-math.log(t))
+    for _ in range(100):
+        step = (math.erfc(x) - t) * (math.sqrt(math.pi) / 2.0) * math.exp(x * x)
+        x += step
+        if abs(step) <= 1e-15 * x:
+            break
+    return x
 
 
 class EvenPolynomial:
@@ -186,14 +207,14 @@ def build_sign_approx(eta: float, xi: float,
     if not (0.0 < xi < 0.5):
         raise ValueError("xi must lie in (0, 1/2)")
     tau = xi / 3.0
-    k = float(erfinv(1.0 - tau)) / eta
+    k = _erfinv(1.0 - tau) / eta
     n = int(math.ceil(3.2 * k * math.sqrt(math.log(1.0 / xi)))) + 16
     n |= 1
     xs = np.linspace(-2.0, 2.0, DEFAULT_GRID)
     attempts = []
     while True:
         n_try = min(n, degree_cap)
-        ch = Chebyshev.interpolate(lambda x: erf(k * x), deg=n_try,
+        ch = Chebyshev.interpolate(lambda x: _erf(k * x).astype(float), deg=n_try,
                                    domain=[-2.0, 2.0])
         coef = ch.coef.copy()
         coef[0::2] = 0.0

@@ -9,6 +9,12 @@ A threshold filter built at accuracy chi = delta^2 / 3 maps case (i) to
 u-dagger P(sqrt(A-dagger A)) u >= 2 delta^2 / 3 and case (ii) to
 <= delta^2 / 3; estimating that form to eps = delta^2 / 7 and cutting
 at the midpoint delta^2 / 2 separates the cases with margin.
+
+The form is contracted in one of two modes.  "exact" (the default)
+computes it from the Chebyshev moments of (A, u), which stay cached per
+thread, so decisions that share the matrix and the guide reuse one
+moment pass as long as the filter degree does not grow.  "sampled" is the paper's
+estimator, the median of batch means over draws from the guide.
 """
 
 from __future__ import annotations
@@ -21,12 +27,15 @@ from .access import SampledVector, SparseMatrix
 from .errors import ConfigError
 from .polynomial import (DEFAULT_DEGREE_CAP, ThresholdSpec,
                          build_threshold_cached)
-from .svt import EstimateResult, EstimatorConfig, estimate_bilinear
+from .svt import (EstimateResult, EstimatorConfig, estimate_bilinear,
+                  moment_contraction)
 
-__all__ = ["SveProblem", "SveResult", "decide_singular_interval", "HAS_SV", "NO_SV"]
+__all__ = ["SveProblem", "SveResult", "decide_singular_interval", "HAS_SV",
+           "NO_SV", "CONTRACTIONS"]
 
 HAS_SV = "HAS_SV"
 NO_SV = "NO_SV"
+CONTRACTIONS = ("exact", "sampled")
 
 
 @dataclass
@@ -79,9 +88,14 @@ class SveProblem:
 
 @dataclass
 class SveResult:
+    """``margin`` is (estimate.real - decision_threshold) / eps: positive
+    exactly when the decision is HAS_SV, and at least 7/6 in magnitude
+    for an exact contraction under the promise."""
+
     decision: str
     estimate: complex
     decision_threshold: float
+    margin: float
     degree: int
     estimator: EstimateResult
     warnings: list[str] = field(default_factory=list)
@@ -89,25 +103,39 @@ class SveResult:
 
 def decide_singular_interval(problem: SveProblem, fail_prob: float = 0.01,
                              seed: int = 0,
-                             degree_cap: int = DEFAULT_DEGREE_CAP) -> SveResult:
+                             degree_cap: int = DEFAULT_DEGREE_CAP,
+                             contraction: str = "exact") -> SveResult:
     """Decide HAS_SV / NO_SV for ``problem`` with failure probability
     ``fail_prob`` under the promise.
 
-    The estimate u-dagger P u is a real number up to sampling noise; its
-    imaginary part is reported as a sanity diagnostic and flagged when it
-    exceeds the estimator precision.
+    ``contraction="exact"`` computes u-dagger P u from the cached
+    Chebyshev moments of (matrix, guide) (svt.moment_contraction); it is
+    real, draws no samples and ignores ``seed``.  ``"sampled"`` estimates
+    it by svt.estimate_bilinear, whose value is real up to sampling
+    noise: its imaginary part is reported as a sanity diagnostic and
+    flagged when it exceeds the estimator precision.  Both modes check
+    the same preconditions, and both raise ConfigError when ||A|| > 1
+    shows.
     """
+    if contraction not in CONTRACTIONS:
+        raise ConfigError(f"contraction must be one of {CONTRACTIONS}, "
+                          f"got {contraction!r}")
     P = build_threshold_cached(problem.threshold_spec(), degree_cap=degree_cap)
     cfg = EstimatorConfig.for_target(problem.eps, fail_prob,
                                      zeta=problem.guide.zeta, seed=seed)
-    est = estimate_bilinear(problem.matrix, problem.guide.base, problem.guide,
-                            P, cfg)
+    if contraction == "exact":
+        est = moment_contraction(problem.matrix, problem.guide, P, cfg)
+    else:
+        est = estimate_bilinear(problem.matrix, problem.guide.base,
+                                problem.guide, P, cfg)
     warnings = []
     if abs(est.value.imag) >= problem.eps:
         warnings.append(
             f"imaginary part {est.value.imag:.3e} exceeds precision "
             f"{problem.eps:.3e}; u-dagger P u should be real")
     decision = HAS_SV if est.value.real > problem.decision_threshold else NO_SV
+    margin = (est.value.real - problem.decision_threshold) / problem.eps
     return SveResult(decision=decision, estimate=est.value,
                      decision_threshold=problem.decision_threshold,
-                     degree=P.degree, estimator=est, warnings=warnings)
+                     margin=margin, degree=P.degree, estimator=est,
+                     warnings=warnings)

@@ -19,14 +19,23 @@ the entries within reach of i.  Both engines compute the same operator
 polynomial from the same Chebyshev coefficients; the choice depends on
 the degree only.
 
-Each thread keeps one slot holding (A, S, u, P, w) from its last
-Chebyshev apply, keyed on object identity: a call with the same A
-reuses S, and a call with the same A, u array and P returns the stored
-w (read-only) without recomputing it, so reading several entries of
-one vector costs one apply.  The slot's strong references keep those
-ids from being reused, and the key objects are immutable.  It holds at
-most nnz(S) + N numbers per thread beyond the inputs it keeps alive,
-the same as one apply's own peak.  Query counts are charged on every
+Quadratic forms u-dagger P(sqrt(A-dagger A)) u are contracted exactly
+from the Chebyshev moments mu_r = u-dagger T_r(S) u as sum_r c_r mu_r
+(the kernel polynomial method).  Doubling gives all D/2 + 1 moments of
+a degree-D filter from ceil(D/4) matvecs in O(N) memory, and one set
+of moments serves every filter on the same (A, u).
+
+Each thread keeps one slot (A, S, apply, moments), keyed on object
+identity: a call with the same A reuses S; apply = (u, P, w) is the
+last Chebyshev apply, returned (read-only) for the same u array and P;
+moments = (u, mu) is the last moment pass, returned for the same u
+array when it is long enough for the filter and recomputed at the new
+length otherwise.  So reading several entries of one vector costs one
+apply, and deciding several filters against one guide costs one
+moment pass.  The slot never holds two contractions.  Its strong
+references keep those ids from being reused, and the key objects are
+immutable.  It holds at most nnz(S) + N + D/2 numbers per thread
+beyond the inputs it keeps alive.  Query counts are charged on every
 call, cache hit or not.
 
 Randomized layer: one sample draws j from the sampling-access
@@ -63,6 +72,7 @@ __all__ = [
     "svt_entries",
     "sample_values",
     "estimate_bilinear",
+    "moment_contraction",
     "min_sample_count",
     "min_batch_count",
 ]
@@ -163,33 +173,99 @@ def _contraction(A: SparseMatrix) -> sp.csr_matrix:
     return (2.0 * gram - sp.identity(n, dtype=complex, format="csr")).tocsr()
 
 
+def _slot_for(A: SparseMatrix) -> tuple:
+    """This thread's slot (A, S, apply, moments) when A is its matrix;
+    otherwise the slot is cleared, so that it never holds two
+    contractions, and a fresh (A, S, None, None) is returned unstored."""
+    slot = getattr(_last_apply, "slot", None)
+    if slot is not None and slot[0] is A:
+        return slot
+    _last_apply.slot = None
+    return (A, _contraction(A), None, None)
+
+
 def _cheb_apply(A: SparseMatrix, u_arr: np.ndarray, P: EvenPolynomial,
                 counter: QueryCounter | None = None) -> np.ndarray:
     """P(sqrt(A-dagger A)) u via the T_r(2 A-dagger A - I) recurrence.
 
-    The result is read-only.  This thread's slot keeps (A, S, u_arr, P,
-    w) from the last successful call: the same A object reuses S, and
-    the same A, u_arr and P objects return the stored w.  Otherwise the
-    recurrence runs and replaces the slot; a call that raises stores
-    nothing.  Raises ConfigError when some ||T_r(S) u||^2 exceeds
+    The result is read-only.  This thread's slot keeps (u_arr, P, w)
+    from the last successful call: the same A object reuses S, and the
+    same A, u_arr and P objects return the stored w.  Otherwise the
+    recurrence runs and replaces the slot's apply; a call that raises
+    stores nothing.  Raises ConfigError when some ||T_r(S) u||^2 exceeds
     (1 + NORM_TOLERANCE) ||u||^2, which means ||A|| > 1.
     """
-    slot = getattr(_last_apply, "slot", None)
-    same_A = slot is not None and slot[0] is A
-    if not same_A:
-        _last_apply.slot = None  # never hold two contractions at once
-    S = slot[1] if same_A else _contraction(A)
+    _, S, apply, moments = _slot_for(A)
     steps = P.degree // 2
     if counter is not None:
         # each recurrence step reads every stored entry of S once
         counter.row_fetches += steps * S.shape[0]
         counter.entry_probes += steps * S.nnz
-    if same_A and slot[2] is u_arr and slot[3] is P:
-        return slot[4]
+    if apply is not None and apply[0] is u_arr and apply[1] is P:
+        return apply[2]
     w = _recurrence(S, u_arr, P.cheb_even())
     w.flags.writeable = False
-    _last_apply.slot = (A, S, u_arr, P, w)
+    _last_apply.slot = (A, S, (u_arr, P, w), moments)
     return w
+
+
+def _moments(A: SparseMatrix, u_arr: np.ndarray, count: int,
+             counter: QueryCounter | None = None) -> np.ndarray:
+    """The Chebyshev moments mu_r = u-dagger T_r(S) u for r < count.
+
+    Returns them read-only.  This thread's slot keeps (u_arr, mu) from
+    the last successful call: the same A reuses S, and the same A and
+    u_arr objects return the first ``count`` stored moments unless
+    ``count`` exceeds them, when the pass runs again at the new length.
+    Each call charges the pass's count // 2 matvecs, hit or miss.
+    Raises ConfigError, storing nothing, when ||A|| > 1 shows in the
+    moments.
+    """
+    _, S, apply, moments = _slot_for(A)
+    steps = count // 2
+    if counter is not None:
+        counter.row_fetches += steps * S.shape[0]
+        counter.entry_probes += steps * S.nnz
+    if moments is not None and moments[0] is u_arr and moments[1].size >= count:
+        return moments[1][:count]
+    mu = _moment_pass(S, u_arr, count)
+    mu.flags.writeable = False
+    _last_apply.slot = (A, S, apply, (u_arr, mu))
+    return mu
+
+
+def _moment_pass(S: sp.csr_matrix, u_arr: np.ndarray, count: int) -> np.ndarray:
+    """mu_r = u-dagger T_r(S) u for r < count from count // 2 matvecs.
+
+    S is Hermitian, so T_j T_k = (T_{j+k} + T_{|j-k|}) / 2 gives
+    mu_{2k} = 2 ||T_k u||^2 - mu_0 and
+    mu_{2k+1} = 2 <T_{k+1} u, T_k u> - mu_1, and only T_k u for
+    k <= count // 2 is needed, two vectors at a time.  When ||A|| <= 1
+    every ||T_k u||^2 and every |mu_r| is at most mu_0 = ||u||^2;
+    ConfigError is raised when one exceeds (1 + NORM_TOLERANCE) mu_0.
+    """
+    mu = np.empty(count)
+    mu[0] = np.vdot(u_arr, u_arr).real
+    bound = (1.0 + NORM_TOLERANCE) * mu[0]
+    prev, cur = u_arr, u_arr  # T_{k-1} u and T_k u
+    for k in range((count + 1) // 2):
+        if k > 0:
+            norm2 = np.vdot(cur, cur).real
+            if not norm2 <= bound:
+                raise ConfigError(
+                    f"||A|| exceeds 1: ||T_{k}(2 A^dag A - I) u||^2 exceeds "
+                    f"(1 + {NORM_TOLERANCE}) ||u||^2")
+            mu[2 * k] = 2.0 * norm2 - mu[0]
+        if 2 * k + 1 < count:
+            nxt = S @ cur if k == 0 else 2.0 * (S @ cur) - prev
+            cross = np.vdot(nxt, cur).real
+            mu[2 * k + 1] = cross if k == 0 else 2.0 * cross - mu[1]
+            prev, cur = cur, nxt
+    if not np.all(np.abs(mu) <= bound):  # NaN fails too
+        raise ConfigError(
+            f"||A|| exceeds 1: a moment u^dag T_r(2 A^dag A - I) u exceeds "
+            f"(1 + {NORM_TOLERANCE}) ||u||^2 in magnitude")
+    return mu
 
 
 def _recurrence(S: sp.csr_matrix, u_arr: np.ndarray,
@@ -446,3 +522,28 @@ def estimate_bilinear(A: SparseMatrix, u: QueryVector, v: SampledVector,
         batches=cfg.batches, total_samples=cfg.batches * cfg.samples,
         unique_indices=int(np.count_nonzero(hit)), degree=P.degree,
         counter=counter, elapsed_s=time.perf_counter() - t0)
+
+
+def moment_contraction(A: SparseMatrix, v: SampledVector, P: EvenPolynomial,
+                       cfg: EstimatorConfig) -> EstimateResult:
+    """v-dagger P(sqrt(A-dagger A)) v for the guide's stored base vector,
+    exactly, as cheb_even() @ mu with the Chebyshev moments
+    mu_r = v-dagger T_r(S) v (the kernel polynomial method).
+
+    Runs estimate_bilinear's input checks with u = v.base and returns
+    its result type with no samples drawn.  The moments stay in this
+    thread's slot, keyed on (A, v.base array), so further filters on the
+    same matrix and guide cost one dot product each; a longer filter
+    recomputes them.  The counter is charged the pass's
+    ceil(degree / 4) matvecs on every call.  The value is real because
+    S is Hermitian.  ||A|| > 1 raises ConfigError from the pass.
+    """
+    t0 = time.perf_counter()
+    _validate_estimate_inputs(A, v.base, v, P, cfg)
+    cr = P.cheb_even()
+    counter = QueryCounter()
+    mu = _moments(A, v.base.dense(), cr.size, counter)
+    return EstimateResult(
+        value=complex(cr @ mu), eps=cfg.eps, fail_prob=cfg.fail_prob,
+        samples=0, batches=0, total_samples=0, unique_indices=0,
+        degree=P.degree, counter=counter, elapsed_s=time.perf_counter() - t0)

@@ -163,10 +163,7 @@ def test_criterion_4_threshold_certification():
             f"measured degree constant {worst_ratio:.2f} <= {DEGREE_CONSTANT}")
 
 
-def test_criterion_5_sve_decisions():
-    """50 planted HAS + 50 planted NO instances (N = 64, delta = 0.6,
-    theta = 0.1) decided with >= 99% accuracy; the deterministic value
-    obeys the 2 delta^2/3 vs delta^2/3 separation on every instance."""
+def _criterion_5(contraction):
     rng = np.random.default_rng(505)
     t0 = time.time()
     t1v, t2v, theta, delta = 0.5, 0.7, 0.1, 0.6
@@ -185,18 +182,30 @@ def test_criterion_5_sve_decisions():
             separation_ok &= exact <= delta ** 2 / 3 + 1e-9
         problem = SveProblem(matrix=A, guide=exact_sampler(guide), t1=t1v,
                              t2=t2v, theta1=theta, theta2=theta, delta=delta)
-        res = decide_singular_interval(problem, fail_prob=0.01, seed=9000 + k)
+        res = decide_singular_interval(problem, fail_prob=0.01, seed=9000 + k,
+                                       contraction=contraction)
         correct += res.decision == (HAS_SV if case == "inside" else NO_SV)
     elapsed = time.time() - t0
-    _report("criterion 5 (SVE decisions)",
+    _report(f"criterion 5 (SVE decisions, {contraction})",
             correct >= 99 and separation_ok,
             f"{correct}/100 correct, separation holds on all, {elapsed:.0f}s")
 
 
-def test_criterion_6_glh_estimation():
-    """40 random 2-local Hamiltonians (n <= 6), guides at overlap 0.5,
-    eps = 0.25: estimates within eps of the dense ground energy in
-    >= 95% of runs."""
+def test_criterion_5_sve_decisions():
+    """50 planted HAS + 50 planted NO instances (N = 64, delta = 0.6,
+    theta = 0.1) decided with >= 99% accuracy by the paper's sampled
+    contraction; the deterministic value obeys the 2 delta^2/3 vs
+    delta^2/3 separation on every instance."""
+    _criterion_5("sampled")
+
+
+def test_criterion_5_sve_decisions_exact():
+    """Criterion 5 on the same instances with the exact moment
+    contraction, the default of decide_singular_interval."""
+    _criterion_5("exact")
+
+
+def _criterion_6(contraction):
     rng = np.random.default_rng(606)
     t0 = time.time()
     hits = 0
@@ -208,12 +217,25 @@ def test_criterion_6_glh_estimation():
         problem = GlhProblem(hamiltonian=H, guide=exact_sampler(guide),
                              delta=0.5, eps=0.25)
         est = estimate_ground_energy(problem, fail_prob=0.05,
-                                     seed=4000 + trial)
+                                     seed=4000 + trial, contraction=contraction)
         hits += abs(est.value - lam) <= 0.25
     elapsed = time.time() - t0
-    _report("criterion 6 (GLH estimation)",
+    _report(f"criterion 6 (GLH estimation, {contraction})",
             hits >= 38 and elapsed < 900,
             f"{hits}/40 within eps, {elapsed:.0f}s")
+
+
+def test_criterion_6_glh_estimation():
+    """40 random 2-local Hamiltonians (n <= 6), guides at overlap 0.5,
+    eps = 0.25: estimates by the paper's sampled contraction within eps
+    of the dense ground energy in >= 95% of runs."""
+    _criterion_6("sampled")
+
+
+def test_criterion_6_glh_estimation_exact():
+    """Criterion 6 on the same instances with the exact moment
+    contraction, the default of estimate_ground_energy."""
+    _criterion_6("exact")
 
 
 def test_criterion_7_kitaev_identities():

@@ -200,7 +200,7 @@ def test_scan_classification_with_deterministic_oracle(monkeypatch, rng):
     import svtkit.hamiltonian as ham
 
     for lam in (-1.0, -0.83, -0.26, 0.0, 0.31, 0.97, 1.0):
-        def fake_decide(shifted, guide, a, b, delta, fail_prob, seed):
+        def fake_decide(shifted, guide, a, b, delta, fail_prob, seed, contraction):
             decision = ham.LOW if lam <= a else (
                 ham.HIGH if lam >= b else ham.LOW)
             return ham.GlhDecision(decision=decision, a=a, b=b, sve=None)
@@ -225,7 +225,7 @@ def _null_problem(eps):
 
 
 def _estimate_with(decide, eps):
-    def fake_decide(shifted, guide, a, b, delta, fail_prob, seed):
+    def fake_decide(shifted, guide, a, b, delta, fail_prob, seed, contraction):
         return ham.GlhDecision(decision=decide(a, b), a=a, b=b, sve=None)
 
     with pytest.MonkeyPatch.context() as mp:

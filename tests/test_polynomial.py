@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from svtkit.errors import ConstructionError, ParseError
-from svtkit.polynomial import (EvenPolynomial, ThresholdSpec,
+from svtkit.polynomial import (EvenPolynomial, ThresholdSpec, _erfinv,
                                _even_interpolant, _shifted_sum,
                                build_sign_approx, build_threshold,
                                load_polynomial, save_polynomial,
@@ -156,6 +156,33 @@ def test_sign_approx_is_memoized_and_read_only():
     assert not P._c.flags.writeable
     with pytest.raises(ValueError):
         P._c[1] = 0.0
+
+
+def test_building_a_filter_leaves_scipy_special_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import svtkit
+    env = dict(os.environ)
+    src = str(Path(svtkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, svtkit\n"
+            "from svtkit.polynomial import ThresholdSpec, build_threshold\n"
+            "build_threshold(ThresholdSpec(0.5, 0.7, 0.1, 0.1, 0.2))\n"
+            "print('scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_erfinv_matches_scipy_over_the_tau_range():
+    # build_sign_approx inverts erf at 1 - tau with tau = xi / 3 < 1/6
+    from scipy.special import erfinv
+    for tau in np.geomspace(1e-12, 1.0 / 6.0, 400):
+        want = float(erfinv(1.0 - tau))
+        assert abs(_erfinv(1.0 - tau) - want) <= 1e-14 * want
 
 
 def test_threshold_degree_monotone_in_chi():

@@ -114,3 +114,42 @@ def test_result_reports_degree_and_samples(rng):
     assert res.degree > 0
     assert res.estimator.total_samples == res.estimator.samples * res.estimator.batches
     assert res.decision_threshold == 0.6 ** 2 / 2
+
+
+@pytest.mark.parametrize("contraction", ["exact", "sampled"])
+def test_norm_above_one_raises_in_both_modes(contraction):
+    # the gap decisions' degree-730 filter; ConfigError every time, so a
+    # failed contraction is never cached, and no RuntimeWarning on the way
+    u = np.ones(3) / np.sqrt(3.0)
+    for top in (1.02, 1.5):
+        A = SparseMatrix.from_dense(np.diag([top, 0.5, 0.2]))
+        problem = SveProblem(matrix=A, guide=exact_sampler(u), t1=0.5,
+                             t2=0.71875, theta1=0.5, theta2=0.03125, delta=0.5)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="exceeds 1"):
+                decide_singular_interval(problem, degree_cap=4096,
+                                         contraction=contraction)
+
+
+def test_unknown_contraction_is_rejected(rng):
+    A, guide, _ = planted_sve_instance(rng, 16, 0.5, 0.7, 0.1, 0.1, 0.6,
+                                       "inside")
+    with pytest.raises(ConfigError, match="contraction"):
+        decide_singular_interval(_problem(A, guide, delta=0.6),
+                                 contraction="dense")
+
+
+@pytest.mark.parametrize("contraction", ["exact", "sampled"])
+def test_margin_sign_agrees_with_decision(rng, contraction):
+    for k in range(6):
+        case = "inside" if k % 2 == 0 else "outside"
+        A, guide, _ = planted_sve_instance(rng, 24, 0.5, 0.7, 0.1, 0.1, 0.6,
+                                           case)
+        problem = _problem(A, guide, delta=0.6)
+        res = decide_singular_interval(problem, seed=k, contraction=contraction)
+        assert res.margin == ((res.estimate.real - problem.decision_threshold)
+                              / problem.eps)
+        assert (res.margin > 0) == (res.decision == HAS_SV)
+        if contraction == "exact":  # the filter's separation, 7/6 eps each side
+            assert abs(res.margin) >= 7 / 6 - 1e-9
+            assert res.estimate.imag == 0.0 and not res.warnings

@@ -224,8 +224,9 @@ def test_threads_keep_separate_apply_slots(rng):
             err = max(err, abs(svt_entry(A, uq, P, i) - exact[i - 1]))
         worst[k] = err
 
-    main_A, main_u, main_P, _ = jobs[0]
-    svt_entry(main_A, main_u, main_P, 1)
+    main_A = random_sparse_matrix(rng, 32, 32, 4)  # no worker touches these
+    main_u = QueryVector(random_unit_vector(rng, 32))
+    svt_entry(main_A, main_u, _cheb_only(rng, 30), 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -239,6 +240,105 @@ def test_threads_keep_separate_apply_slots(rng):
     assert not any(t.is_alive() for t in threads)
     assert all(e is not None and e <= 1e-9 for e in worst)
     assert svt._last_apply.slot[0] is main_A  # the workers left this thread's slot alone
+
+
+LOW_FILTER = ThresholdSpec(0.6, 0.8, 0.1, 0.1, 0.64 / 3)  # degree 182
+GUIDE_CFG = EstimatorConfig.for_target(0.1, 0.01)
+
+
+def _filter(spec):
+    return build_threshold_cached(spec, degree_cap=4096)
+
+
+@pytest.mark.parametrize("spec, degree", [(LOW_FILTER, 182), (FILTER, 270),
+                                          (SCAN_FILTER, 730)])
+def test_moment_contraction_matches_oracle(rng, spec, degree):
+    P = _filter(spec)
+    assert P.degree == degree
+    A = random_sparse_matrix(rng, 40, 40, 3)
+    u = random_unit_vector(rng, 40)
+    res = svt.moment_contraction(A, exact_sampler(u), P, GUIDE_CFG)
+    assert abs(res.value.real - exact_bilinear(A.to_dense(), P, u, u).real) <= 1e-12
+    assert res.value.imag == 0.0 and res.degree == degree
+    assert res.total_samples == 0
+    steps = -(-degree // 4)
+    assert res.counter == QueryCounter(steps * 40, steps * _contraction(A).nnz)
+
+
+def test_interleaved_moment_contractions_are_never_stale(rng):
+    As = [random_sparse_matrix(rng, 16, 16, 3) for _ in range(2)]
+    us = [random_unit_vector(rng, 16) for _ in range(2)]
+    guides = [exact_sampler(u) for u in us]
+    Ps = [_filter(LOW_FILTER), _filter(SCAN_FILTER)]
+    exact = {(a, b, c): exact_bilinear(As[a].to_dense(), Ps[c], us[b], us[b]).real
+             for a in range(2) for b in range(2) for c in range(2)}
+    keys = list(exact) * 3
+    for n in rng.permutation(len(keys)):
+        a, b, c = keys[n]
+        got = svt.moment_contraction(As[a], guides[b], Ps[c], GUIDE_CFG).value
+        assert abs(got - exact[a, b, c]) <= 1e-12
+    # fresh guides that die after each call must not be confused either
+    for _ in range(5):
+        u = random_unit_vector(rng, 16)
+        got = svt.moment_contraction(As[0], exact_sampler(u), Ps[1], GUIDE_CFG)
+        assert abs(got.value - exact_bilinear(As[0].to_dense(), Ps[1], u, u)) <= 1e-12
+
+
+def test_moment_contraction_charges_the_same_queries_on_a_hit(rng):
+    A = random_sparse_matrix(rng, 16, 16, 3)
+    guide = exact_sampler(random_unit_vector(rng, 16))
+    short, long = _filter(LOW_FILTER), _filter(SCAN_FILTER)
+    svt._last_apply.slot = None
+    miss = svt.moment_contraction(A, guide, short, GUIDE_CFG)
+    hit = svt.moment_contraction(A, guide, short, GUIDE_CFG)
+    assert svt._last_apply.slot[3][1].size == 92  # one pass, kept
+    longer = svt.moment_contraction(A, guide, long, GUIDE_CFG)  # recomputes
+    assert svt._last_apply.slot[3][1].size == 366
+    shorter = svt.moment_contraction(A, guide, short, GUIDE_CFG)  # a hit
+    assert miss.counter == hit.counter == shorter.counter
+    assert miss.counter.row_fetches == 46 * 16
+    assert longer.counter.row_fetches == 183 * 16
+    assert miss.value == hit.value
+    assert abs(shorter.value - miss.value) <= 1e-14
+
+
+def test_threads_keep_separate_moments(rng):
+    P = _filter(SCAN_FILTER)
+    jobs = []
+    for _ in range(4):  # more threads than the two cores of a small host
+        A = random_sparse_matrix(rng, 32, 32, 4)
+        u = random_unit_vector(rng, 32)
+        jobs.append((A, exact_sampler(u), exact_bilinear(A.to_dense(), P, u, u)))
+    barrier = threading.Barrier(len(jobs), timeout=30)
+    worst = [None] * len(jobs)
+
+    def work(k):
+        A, guide, exact = jobs[k]
+        err = 0.0
+        for _ in range(30):
+            barrier.wait()
+            got = svt.moment_contraction(A, guide, P, GUIDE_CFG).value
+            err = max(err, abs(got - exact))
+        worst[k] = err
+
+    main_A = random_sparse_matrix(rng, 32, 32, 4)  # no worker touches these
+    main_guide = exact_sampler(random_unit_vector(rng, 32))
+    svt.moment_contraction(main_A, main_guide, P, GUIDE_CFG)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(e is not None and e <= 1e-12 for e in worst)
+    # the workers left this thread's moments alone
+    assert svt._last_apply.slot[0] is main_A
+    assert svt._last_apply.slot[3][0] is main_guide.base.dense()
 
 
 def test_svt_entries_returns_a_writable_copy(rng):
