@@ -67,12 +67,6 @@ def _common_flags(p):
     p.add_argument("--out", type=str, default=None)
 
 
-def _contraction_flag(p):
-    p.add_argument("--contraction", choices=sve.CONTRACTIONS, default="exact",
-                   help="exact: from cached Chebyshev moments (default); "
-                        "sampled: median of batch means over guide draws")
-
-
 def _cmd_estimate(args) -> int:
     A = access.load_matrix(args.matrix)
     u = QueryVector(access.load_vector(args.u))
@@ -112,15 +106,14 @@ def _cmd_sve(args) -> int:
                              theta1=args.theta1, theta2=args.theta2,
                              delta=args.delta)
     res = sve.decide_singular_interval(problem, fail_prob=args.fail_prob,
-                                       seed=args.seed,
-                                       contraction=args.contraction)
+                                       seed=args.seed)
     print(res.decision)
     rep = Report()
     rep.add("command", "sve")
     rep.add("digest_matrix", _digest(args.matrix))
     rep.add("digest_guide", _digest(args.guide))
     for name in ("t1", "t2", "theta1", "theta2", "delta", "fail_prob",
-                 "zeta", "seed", "contraction"):
+                 "zeta", "seed"):
         rep.add(name, getattr(args, name))
     rep.add("decision", res.decision)
     rep.add("estimate_re", res.estimate.real)
@@ -153,13 +146,13 @@ def _cmd_glh_decide(args) -> int:
     t0 = time.perf_counter()
     problem = _glh_problem(args, "decision")
     res = hamiltonian.decide_glh(problem, fail_prob=args.fail_prob,
-                                 seed=args.seed, contraction=args.contraction)
+                                 seed=args.seed)
     print(res.decision)
     rep = Report()
     rep.add("command", "glh-decide")
     rep.add("digest_hamiltonian", _digest(args.hamiltonian))
     rep.add("digest_guide", _digest(args.guide))
-    for name in ("a", "b", "delta", "fail_prob", "zeta", "seed", "contraction"):
+    for name in ("a", "b", "delta", "fail_prob", "zeta", "seed"):
         rep.add(name, getattr(args, name))
     rep.add("decision", res.decision)
     rep.add("estimate_re", res.sve.estimate.real)
@@ -178,14 +171,13 @@ def _cmd_glh_estimate(args) -> int:
     t0 = time.perf_counter()
     problem = _glh_problem(args, "estimate")
     res = hamiltonian.estimate_ground_energy(problem, fail_prob=args.fail_prob,
-                                             seed=args.seed,
-                                             contraction=args.contraction)
+                                             seed=args.seed)
     print(repr(res.value))
     rep = Report()
     rep.add("command", "glh-estimate")
     rep.add("digest_hamiltonian", _digest(args.hamiltonian))
     rep.add("digest_guide", _digest(args.guide))
-    for name in ("eps", "delta", "fail_prob", "zeta", "seed", "contraction"):
+    for name in ("eps", "delta", "fail_prob", "zeta", "seed"):
         rep.add(name, getattr(args, name))
     rep.add("estimate", res.value)
     rep.add("interval_lo", res.interval[0])
@@ -354,7 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta2", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     _common_flags(p)
-    _contraction_flag(p)
     p.set_defaults(fn=_cmd_sve)
 
     p = sub.add_parser("glh-decide", help="decide ground energy below a / above b")
@@ -364,7 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     _common_flags(p)
-    _contraction_flag(p)
     p.set_defaults(fn=_cmd_glh_decide)
 
     p = sub.add_parser("glh-estimate", help="estimate the ground energy")
@@ -373,7 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     _common_flags(p)
-    _contraction_flag(p)
     p.set_defaults(fn=_cmd_glh_estimate)
 
     p = sub.add_parser("gen-kitaev", help="generate a guided instance from a circuit")

@@ -291,19 +291,19 @@ def _decide_shifted(shifted: SparseMatrix, guide: SampledVector, a: float,
 
 
 def decide_glh(problem: GlhProblem, fail_prob: float = 0.01,
-               seed: int = 0, contraction: str = "exact") -> GlhDecision:
+               seed: int = 0) -> GlhDecision:
     """Decide lambda_H <= a (LOW) versus lambda_H >= b (HIGH).
 
     Eigenvalues of (H + 3I)/4 equal its singular values and lie in
     [1/2, 1]; lambda_H <= a becomes a singular value in
     [1/2, (3 + a)/4] and the interval decision applies unchanged, in
-    the ``contraction`` mode of sve.decide_singular_interval.
+    its default exact contraction mode.
     """
     if problem.a is None or problem.b is None:
         raise ConfigError("decision form requires thresholds a and b")
     shifted = assemble_sparse(problem.hamiltonian, shift=True)
     return _decide_shifted(shifted, problem.guide, problem.a, problem.b,
-                           problem.delta, fail_prob, seed, contraction)
+                           problem.delta, fail_prob, seed, "exact")
 
 
 def _bisection_steps(eps: float) -> int:

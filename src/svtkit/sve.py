@@ -30,12 +30,11 @@ from .polynomial import (DEFAULT_DEGREE_CAP, ThresholdSpec,
 from .svt import (EstimateResult, EstimatorConfig, estimate_bilinear,
                   moment_contraction)
 
-__all__ = ["SveProblem", "SveResult", "decide_singular_interval", "HAS_SV",
-           "NO_SV", "CONTRACTIONS"]
+__all__ = ["SveProblem", "SveResult", "decide_singular_interval", "HAS_SV", "NO_SV"]
 
 HAS_SV = "HAS_SV"
 NO_SV = "NO_SV"
-CONTRACTIONS = ("exact", "sampled")
+_CONTRACTIONS = ("exact", "sampled")
 
 
 @dataclass
@@ -88,17 +87,20 @@ class SveProblem:
 
 @dataclass
 class SveResult:
-    """``margin`` is (estimate.real - decision_threshold) / eps: positive
-    exactly when the decision is HAS_SV, and at least 7/6 in magnitude
-    for an exact contraction under the promise."""
-
     decision: str
     estimate: complex
     decision_threshold: float
-    margin: float
     degree: int
     estimator: EstimateResult
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def margin(self) -> float:
+        """(estimate.real - decision_threshold) / eps: positive exactly
+        when the decision is HAS_SV, and at least 7/6 in magnitude for
+        an exact contraction under the promise."""
+        return ((self.estimate.real - self.decision_threshold)
+                / self.estimator.eps)
 
 
 def decide_singular_interval(problem: SveProblem, fail_prob: float = 0.01,
@@ -114,11 +116,18 @@ def decide_singular_interval(problem: SveProblem, fail_prob: float = 0.01,
     it by svt.estimate_bilinear, whose value is real up to sampling
     noise: its imaginary part is reported as a sanity diagnostic and
     flagged when it exceeds the estimator precision.  Both modes check
-    the same preconditions, and both raise ConfigError when ||A|| > 1
-    shows.
+    the same preconditions and raise ConfigError when ||A|| > 1 shows,
+    but not equally far.  On an eigenvalue lambda = 2 sigma^2 - 1 > 1 of
+    S = 2 A-dagger A - I, the sampled path checks ||T_r(S) u||^2, which
+    grows like T_r(lambda)^2, up to r = D/2 for a degree-D filter.  The
+    exact path checks ||T_k(S) u||^2 only up to k = ceil(D/4), and the
+    moments u-dagger T_r(S) u, which are linear in T_r(lambda), up to
+    r = D/2.  So a singular value just above 1 that carries little guide
+    weight can pass in exact mode where sampled mode raises; exact mode
+    then returns the exact form u-dagger P u of that A.
     """
-    if contraction not in CONTRACTIONS:
-        raise ConfigError(f"contraction must be one of {CONTRACTIONS}, "
+    if contraction not in _CONTRACTIONS:
+        raise ConfigError(f"contraction must be one of {_CONTRACTIONS}, "
                           f"got {contraction!r}")
     P = build_threshold_cached(problem.threshold_spec(), degree_cap=degree_cap)
     cfg = EstimatorConfig.for_target(problem.eps, fail_prob,
@@ -134,8 +143,6 @@ def decide_singular_interval(problem: SveProblem, fail_prob: float = 0.01,
             f"imaginary part {est.value.imag:.3e} exceeds precision "
             f"{problem.eps:.3e}; u-dagger P u should be real")
     decision = HAS_SV if est.value.real > problem.decision_threshold else NO_SV
-    margin = (est.value.real - problem.decision_threshold) / problem.eps
     return SveResult(decision=decision, estimate=est.value,
                      decision_threshold=problem.decision_threshold,
-                     margin=margin, degree=P.degree, estimator=est,
-                     warnings=warnings)
+                     degree=P.degree, estimator=est, warnings=warnings)

@@ -536,7 +536,13 @@ def moment_contraction(A: SparseMatrix, v: SampledVector, P: EvenPolynomial,
     same matrix and guide cost one dot product each; a longer filter
     recomputes them.  The counter is charged the pass's
     ceil(degree / 4) matvecs on every call.  The value is real because
-    S is Hermitian.  ||A|| > 1 raises ConfigError from the pass.
+    S is Hermitian.  ||A|| > 1 raises ConfigError from the pass when it
+    shows in some ||T_k(S) v||^2 with k <= ceil(degree / 4) or in some
+    moment with r <= degree / 2.  That reaches less far than
+    estimate_bilinear's check of ||T_r(S) v||^2 up to r = degree / 2: on
+    an eigenvalue lambda > 1 of S a moment grows like T_r(lambda), not
+    like its square, so a singular value just above 1 with little guide
+    weight passes, and the exact form for that A is returned.
     """
     t0 = time.perf_counter()
     _validate_estimate_inputs(A, v.base, v, P, cfg)

@@ -153,6 +153,10 @@ def test_glh_estimate_cli(capsys, glh_estimate_argv):
     assert abs(float(out.splitlines()[0]) - (-1.0)) <= 0.5
 
 
+def _report_dict(out):
+    return dict(ln.split("=", 1) for ln in out.splitlines()[1:])
+
+
 def test_glh_estimate_report(capsys, glh_estimate_argv):
     code1, out1, _ = run_cli(capsys, *glh_estimate_argv)
     code2, out2, _ = run_cli(capsys, *glh_estimate_argv)
@@ -161,17 +165,14 @@ def test_glh_estimate_report(capsys, glh_estimate_argv):
     keys = [ln.split("=", 1)[0] for ln in out1.splitlines()[1:]]
     assert "workers" not in keys and "case" not in keys
     assert "scan_steps=3" in out1.splitlines()
+    rep = _report_dict(out1)
+    assert int(rep["degree"]) > 0 and float(rep["margin_min"]) >= 0.0
     with pytest.raises(SystemExit):
         cli.main(glh_estimate_argv + ["--workers", "4"])
     assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
-def _report_dict(out):
-    return dict(ln.split("=", 1) for ln in out.splitlines()[1:])
-
-
-@pytest.mark.parametrize("contraction", ["exact", "sampled"])
-def test_sve_report_names_mode_and_margin(capsys, tmp_path, contraction):
+def test_sve_report_carries_margin(capsys, tmp_path):
     from svtkit.rand import planted_sve_instance
     rng = np.random.default_rng(12)
     for case in ("inside", "outside"):
@@ -182,35 +183,15 @@ def test_sve_report_names_mode_and_margin(capsys, tmp_path, contraction):
         argv = ["sve", "--matrix", str(tmp_path / "a.mat"), "--guide",
                 str(tmp_path / "g.vec"), "--t1", "0.5", "--t2", "0.7",
                 "--theta1", "0.1", "--theta2", "0.1", "--delta", "0.6",
-                "--seed", "4", "--contraction", contraction]
+                "--seed", "4"]
         code1, out1, _ = run_cli(capsys, *argv)
         code2, out2, _ = run_cli(capsys, *argv)
         assert code1 == code2 == 0
         assert strip_timing(out1) == strip_timing(out2)
         rep = _report_dict(out1)
-        assert rep["contraction"] == contraction
         assert rep["decision"] == ("HAS_SV" if case == "inside" else "NO_SV")
         assert (float(rep["margin"]) > 0) == (rep["decision"] == "HAS_SV")
-        assert (rep["total_samples"] == "0") == (contraction == "exact")
-
-
-@pytest.mark.parametrize("contraction", ["exact", "sampled"])
-def test_glh_estimate_report_names_mode_degree_and_margin(
-        capsys, glh_estimate_argv, contraction):
-    argv = glh_estimate_argv + ["--contraction", contraction]
-    code1, out1, _ = run_cli(capsys, *argv)
-    code2, out2, _ = run_cli(capsys, *argv)
-    assert code1 == code2 == 0
-    assert strip_timing(out1) == strip_timing(out2)
-    rep = _report_dict(out1)
-    assert rep["contraction"] == contraction
-    assert int(rep["degree"]) > 0 and float(rep["margin_min"]) >= 0.0
-
-
-def test_contraction_flag_rejects_unknown_mode(capsys, glh_estimate_argv):
-    with pytest.raises(SystemExit):
-        cli.main(glh_estimate_argv + ["--contraction", "dense"])
-    assert "invalid choice: 'dense'" in capsys.readouterr().err
+        assert rep["total_samples"] == "0"  # the exact contraction
 
 
 def test_oracle_check_pass_and_fail(capsys, tmp_path):

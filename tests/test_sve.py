@@ -131,6 +131,32 @@ def test_norm_above_one_raises_in_both_modes(contraction):
                                          contraction=contraction)
 
 
+def test_norm_barely_above_one_passes_exact_mode_only():
+    # sigma_max = 1 + 2.6e-5, where T_365(2 sigma^2 - 1) = 100, with guide
+    # weight 1e-4: its share 1e-4 T_r^2 of ||T_r u||^2 reaches 1 by r = 365,
+    # so the sampled path raises, but the moment pass only checks ||T_k u||^2 to
+    # k = 183 and moments linear in T_r to r = 365, which stay inside the
+    # bound, so exact mode returns the exact form of this A (documented
+    # in decide_singular_interval)
+    lam_top = np.cosh(np.arccosh(100.0) / 365)
+    sigma = np.concatenate([[np.sqrt((lam_top + 1) / 2)],
+                            np.linspace(0.1, 0.9, 15)])
+    u = np.full(16, np.sqrt((1 - 1e-4) / 15))
+    u[0] = 1e-2
+    A = SparseMatrix.from_dense(np.diag(sigma))
+    problem = SveProblem(matrix=A, guide=exact_sampler(u), t1=0.5,
+                         t2=0.71875, theta1=0.5, theta2=0.03125, delta=0.5)
+    P = build_threshold_cached(problem.threshold_spec(), degree_cap=4096)
+    want = exact_bilinear(np.diag(sigma), P, u, u).real
+    for _ in range(2):
+        res = decide_singular_interval(problem, degree_cap=4096)
+        assert res.degree == 730
+        assert abs(res.estimate.real - want) <= 1e-12
+        with pytest.raises(ConfigError, match="exceeds 1"):
+            decide_singular_interval(problem, degree_cap=4096,
+                                     contraction="sampled")
+
+
 def test_unknown_contraction_is_rejected(rng):
     A, guide, _ = planted_sve_instance(rng, 16, 0.5, 0.7, 0.1, 0.1, 0.6,
                                        "inside")
