@@ -350,6 +350,8 @@ def load_vector(path) -> np.ndarray:
         n = int(lines[0])
     except ValueError:
         raise ParseError("header must be a single integer N", line=1) from None
+    if n < 0:
+        raise ParseError("dimension must be nonnegative", line=1)
     if len(lines) < n + 1:
         raise ParseError(f"expected {n} entry lines", line=len(lines))
     out = np.empty(n, dtype=complex)

@@ -168,17 +168,23 @@ class LocalHamiltonian:
 
     def operator_norm(self) -> float:
         """Exact for n <= 12, Lanczos extremal eigenvalues above that."""
-        if not self.terms:
-            return 0.0
-        if self.n <= DENSE_QUBIT_CAP:
-            w = np.linalg.eigvalsh(self.to_dense())
-            return float(max(abs(w[0]), abs(w[-1])))
-        import scipy.sparse.linalg as spla  # only this branch needs Lanczos
+        return max(map(abs, _extremal_eigs(self.assemble_csr())))
 
-        csr = self.assemble_csr()
-        hi = spla.eigsh(csr, k=1, which="LA", return_eigenvectors=False)[0]
-        lo = spla.eigsh(csr, k=1, which="SA", return_eigenvectors=False)[0]
-        return float(max(abs(hi), abs(lo)))
+
+def _extremal_eigs(csr: sp.csr_matrix) -> tuple:
+    """(lowest, highest) eigenvalue of a Hermitian CSR matrix: dense
+    ``eigvalsh`` up to 2^DENSE_QUBIT_CAP rows, Lanczos above.  Every
+    Hamiltonian spectrum in the package comes from here."""
+    if not csr.nnz:  # ARPACK fails on H = 0 ("starting vector is zero")
+        return 0.0, 0.0
+    if csr.shape[0] <= 2 ** DENSE_QUBIT_CAP:
+        w = np.linalg.eigvalsh(csr.toarray())
+        return float(w[0]), float(w[-1])
+    import scipy.sparse.linalg as spla  # only this branch needs Lanczos
+
+    lo, hi = (spla.eigsh(csr, k=1, which=which, return_eigenvectors=False)[0]
+              for which in ("SA", "LA"))
+    return float(lo), float(hi)
 
 
 def assemble_sparse(H: LocalHamiltonian, shift: bool = False) -> SparseMatrix:
@@ -190,10 +196,10 @@ def assemble_sparse(H: LocalHamiltonian, shift: bool = False) -> SparseMatrix:
     if H.n > ASSEMBLE_QUBIT_CAP:
         raise SizeError(
             f"assembly capped at {ASSEMBLE_QUBIT_CAP} qubits, got n={H.n}")
-    norm = H.operator_norm()
+    csr = H.assemble_csr()
+    norm = max(map(abs, _extremal_eigs(csr)))
     if norm > 1.0 + 1e-9:
         raise ValueError(f"operator norm {norm:.6f} exceeds 1")
-    csr = H.assemble_csr()
     s = H.sparsity_bound()
     if shift:
         csr = (csr + 3.0 * sp.identity(H.dim, dtype=complex, format="csr")) / 4.0
@@ -201,6 +207,15 @@ def assemble_sparse(H: LocalHamiltonian, shift: bool = False) -> SparseMatrix:
         csr.sort_indices()
         s += 1
     return SparseMatrix(csr, s)
+
+
+def _ground_split(H: LocalHamiltonian) -> tuple:
+    """(ground, excited) orthonormal eigenvector bases of H from a dense
+    eigendecomposition (n <= 12); eigenvalues within 1e-9 of the bottom
+    count as ground."""
+    w, vecs = np.linalg.eigh(H.to_dense())
+    ground = w <= w[0] + 1e-9
+    return vecs[:, ground], vecs[:, ~ground]
 
 
 def ground_overlap(H: LocalHamiltonian, u) -> float:
@@ -211,9 +226,8 @@ def ground_overlap(H: LocalHamiltonian, u) -> float:
     u = np.asarray(u, dtype=complex)
     if u.shape != (H.dim,):
         raise ValueError(f"vector must have dimension {H.dim}")
-    w, vecs = np.linalg.eigh(H.to_dense())
-    cols = vecs[:, w <= w[0] + 1e-9]
-    return float(np.linalg.norm(cols.conj().T @ u))
+    ground, _ = _ground_split(H)
+    return float(np.linalg.norm(ground.conj().T @ u))
 
 
 @dataclass
@@ -387,6 +401,8 @@ def load_hamiltonian(path) -> LocalHamiltonian:
         n, k, m = (int(x) for x in head)
     except ValueError:
         raise ParseError("header must be three integers", line=1) from None
+    if m < 0:
+        raise ParseError("term count must be nonnegative", line=1)
     terms = []
     ln = 1
     for _ in range(m):

@@ -33,11 +33,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .access import SampledVector, exact_sampler
 from .errors import ParseError, SizeError, reject_trailing
-from .hamiltonian import LocalHamiltonian, LocalTerm
+from .hamiltonian import LocalHamiltonian, LocalTerm, _extremal_eigs
 
 __all__ = [
     "Gate",
@@ -55,7 +54,6 @@ __all__ = [
 ]
 
 TOTAL_QUBIT_CAP = 18
-DENSE_EIG_CAP = 4096
 
 _P0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 _P1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -263,21 +261,12 @@ def _check_cap(circuit: Circuit, n_idle: int) -> int:
     return m_total
 
 
-def _assemble_group(circuit: Circuit, n_idle: int, terms) -> sp.csr_matrix:
-    n_abc = circuit.n_wires + circuit.n_gates + n_idle
-    dim = 2 ** n_abc
-    if not terms:
-        return sp.csr_matrix((dim, dim), dtype=complex)
-    return LocalHamiltonian(n_abc, 5, terms).assemble_csr()
-
-
 def build_terms(circuit: Circuit, x, n_idle: int):
     """Sparse (H_in, H_prop, H_out, H_stab) over the A|B|C register for
     the pre-idled circuit (first ``n_idle`` gates are identities)."""
-    _check_cap(circuit, n_idle)
-    h_in, h_prop, h_out, h_stab = _local_terms(circuit, x, n_idle)
-    return tuple(_assemble_group(circuit, n_idle, g)
-                 for g in (h_in, h_prop, h_out, h_stab))
+    n_abc = circuit.n_wires + _check_cap(circuit, n_idle)
+    return tuple(LocalHamiltonian(n_abc, 5, g).assemble_csr()
+                 for g in _local_terms(circuit, x, n_idle))
 
 
 def history_state(circuit: Circuit, x, n_idle: int) -> np.ndarray:
@@ -321,17 +310,6 @@ def semiclassical_guide(circuit: Circuit, x, n_idle: int) -> SampledVector:
         vec[base] = amp       # flag 0
         vec[base | 1] = amp   # flag 1
     return exact_sampler(vec)
-
-
-def _extremal_eigs(csr: sp.csr_matrix):
-    if csr.shape[0] <= DENSE_EIG_CAP:
-        w = np.linalg.eigvalsh(csr.toarray())
-        return float(w[0]), float(w[-1])
-    import scipy.sparse.linalg as spla  # only this branch needs Lanczos
-
-    lo = spla.eigsh(csr, k=1, which="SA", return_eigenvectors=False)[0]
-    hi = spla.eigsh(csr, k=1, which="LA", return_eigenvectors=False)[0]
-    return float(lo), float(hi)
 
 
 @dataclass
@@ -461,10 +439,9 @@ def verify_gap_lemma(circuit: Circuit, x, n_idle: int) -> float:
     against the pi^2 / (64 M^3) lower bound."""
     m_total = _check_cap(circuit, n_idle)
     h_in, h_prop, h_out, h_stab = _local_terms(circuit, x, n_idle)
-    csr = _assemble_group(circuit, n_idle, [*h_in, *h_prop, *h_stab])
-    if csr.shape[0] > DENSE_EIG_CAP:
-        raise SizeError("gap verification needs the dense eigensolver")
-    w = np.linalg.eigvalsh(csr.toarray())
+    # to_dense checks the dense cap before it assembles anything
+    H = LocalHamiltonian(circuit.n_wires + m_total, 5, [*h_in, *h_prop, *h_stab])
+    w = np.linalg.eigvalsh(H.to_dense())
     nonzero = w[w > 1e-10]
     if nonzero.size == 0:
         raise ValueError("no nonzero eigenvalues found")

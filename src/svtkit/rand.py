@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .access import SparseMatrix
-from .hamiltonian import LocalHamiltonian, LocalTerm
+from .hamiltonian import LocalHamiltonian, LocalTerm, _ground_split
 from .polynomial import EvenPolynomial
 
 __all__ = [
@@ -137,9 +137,7 @@ def guide_with_ground_overlap(rng: np.random.Generator, H: LocalHamiltonian,
                               delta: float) -> np.ndarray:
     """Unit vector whose ground-space projection norm is exactly delta
     (or 1 when the ground space is everything)."""
-    w, vecs = np.linalg.eigh(H.to_dense())
-    ground = vecs[:, w <= w[0] + 1e-9]
-    rest = vecs[:, w > w[0] + 1e-9]
+    ground, rest = _ground_split(H)
     g = ground @ random_unit_vector(rng, ground.shape[1])
     if rest.shape[1] == 0:
         return g

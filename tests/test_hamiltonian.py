@@ -34,13 +34,17 @@ def test_import_leaves_lanczos_module_unloaded():
     assert out.strip() == "False"
 
 
-def test_operator_norm_lanczos_branch():
-    # n = 13 is past the dense cap, so the norm comes from Lanczos; the
-    # block's eigenvalues are +-0.7 and +-0.1
-    assert ham.DENSE_QUBIT_CAP < 13
-    block = 0.3 * np.kron(Z, Z) + 0.4 * np.kron(X, X)
-    H = LocalHamiltonian(13, 2, [LocalTerm((4, 9), block)])
-    assert abs(H.operator_norm() - 0.7) < 1e-9
+@pytest.mark.parametrize("n", [4, 13])
+def test_operator_norm_lanczos_branch(n):
+    # n = 4 takes the dense branch of the shared extremal-eigenvalue
+    # routine, n = 13 (past the dense cap) its Lanczos branch; the
+    # block's eigenvalues are 0.9, 0.3, 0.1 and -0.5
+    assert (n <= ham.DENSE_QUBIT_CAP) == (n == 4)
+    block = 0.3 * np.kron(Z, Z) + 0.4 * np.kron(X, X) + 0.2 * np.eye(4)
+    H = LocalHamiltonian(n, 2, [LocalTerm((2, n), block)])
+    lo, hi = ham._extremal_eigs(H.assemble_csr())
+    assert abs(lo + 0.5) < 1e-9 and abs(hi - 0.9) < 1e-9
+    assert abs(H.operator_norm() - 0.9) < 1e-9
 
 
 def test_local_term_validation():
@@ -63,6 +67,21 @@ def test_assemble_zero_hamiltonian_shift():
     A = assemble_sparse(H, shift=True)
     assert_allclose(A.to_dense(), 0.75 * np.eye(4), atol=0)
     assert A.s == 1
+
+
+@pytest.mark.parametrize("shift", [False, True])
+def test_assemble_sparse_assembles_once(monkeypatch, shift):
+    calls = []
+    real = LocalHamiltonian.assemble_csr
+
+    def spy(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(LocalHamiltonian, "assemble_csr", spy)
+    H = LocalHamiltonian(3, 2, [LocalTerm((1, 3), 0.5 * np.kron(Z, X))])
+    assemble_sparse(H, shift=shift)
+    assert calls == [H]
 
 
 def test_assemble_matches_dense_kron_oracle(rng):

@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from svtkit.access import exact_sampler
 from svtkit.errors import SizeError
-from svtkit.hamiltonian import GlhProblem, decide_glh, ground_overlap
+from svtkit.hamiltonian import (GlhProblem, LocalHamiltonian, decide_glh,
+                                ground_overlap)
 from svtkit.kitaev import (GATES, Circuit, Gate, acceptance_probability,
                            build_gadget, build_gadget_pair, build_terms,
                            history_state, load_circuit, save_circuit,
@@ -176,6 +177,17 @@ def test_gap_lemma_examples():
     assert gap > 0
     for circ, x, n_idle in ((Z_CIRCUIT, "0", 2), (IDLE_CIRCUIT, "1", 4)):
         verify_gap_lemma(circ, x, n_idle)
+
+
+def test_gap_lemma_dense_cap_precedes_assembly(monkeypatch):
+    # 2 wires + 1 gate + 10 idle steps = 13 A|B|C qubits, past the dense
+    # cap; the SizeError must come before any sparse assembly
+    def no_assembly(self):
+        raise AssertionError("assembled past the dense cap")
+
+    monkeypatch.setattr(LocalHamiltonian, "assemble_csr", no_assembly)
+    with pytest.raises(SizeError):
+        verify_gap_lemma(X_CIRCUIT, "0", 10)
 
 
 def test_cap_enforced():

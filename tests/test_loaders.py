@@ -168,6 +168,8 @@ def test_loader_rejects_a_truncated_file(tmp_path_factory, kind, data):
     ("vector", "1\ninf 0\n", 2),
     ("hamiltonian", "1 1 1\n1\n1.0 0.0 0.0 0.0\n0.0 0.0 inf 0.0\n", 4),
     ("circuit", "1 1 1\nMAT2 1 nan 0 0 0 0 0 1 0\n", 2),
+    ("hamiltonian", "2 1 -1\n", 1),
+    ("vector", "-1\n", 1),
 ])
 def test_loaders_reject_non_finite_values(tmp_path, kind, text, line):
     path = tmp_path / kind
