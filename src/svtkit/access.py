@@ -393,6 +393,8 @@ def load_matrix(path) -> SparseMatrix:
         nrows, ncols, nnz, s = (int(x) for x in head)
     except ValueError:
         raise ParseError("header must be four integers", line=1) from None
+    if nnz < 0:
+        raise ParseError("entry count must be nonnegative", line=1)
     entries = []
     prev = (-1, -1)
     for k in range(nnz):

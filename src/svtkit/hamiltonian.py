@@ -174,15 +174,21 @@ class LocalHamiltonian:
 def _extremal_eigs(csr: sp.csr_matrix) -> tuple:
     """(lowest, highest) eigenvalue of a Hermitian CSR matrix: dense
     ``eigvalsh`` up to 2^DENSE_QUBIT_CAP rows, Lanczos above.  Every
-    Hamiltonian spectrum in the package comes from here."""
+    Hamiltonian spectrum in the package comes from here.  Lanczos starts
+    from a fixed seeded vector, so its last digits repeat from run to
+    run."""
     if not csr.nnz:  # ARPACK fails on H = 0 ("starting vector is zero")
         return 0.0, 0.0
-    if csr.shape[0] <= 2 ** DENSE_QUBIT_CAP:
+    dim = csr.shape[0]
+    if dim <= 2 ** DENSE_QUBIT_CAP:
         w = np.linalg.eigvalsh(csr.toarray())
         return float(w[0]), float(w[-1])
     import scipy.sparse.linalg as spla  # only this branch needs Lanczos
 
-    lo, hi = (spla.eigsh(csr, k=1, which=which, return_eigenvectors=False)[0]
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    lo, hi = (spla.eigsh(csr, k=1, which=which, v0=v0,
+                         return_eigenvectors=False)[0]
               for which in ("SA", "LA"))
     return float(lo), float(hi)
 

@@ -487,6 +487,8 @@ def load_circuit(path) -> Circuit:
         n, p, m = (int(v) for v in head)
     except ValueError:
         raise ParseError("header must be three integers", line=1) from None
+    if m < 0:
+        raise ParseError("gate count must be nonnegative", line=1)
     gates = []
     for k in range(m):
         if k + 1 >= len(lines):

@@ -15,6 +15,11 @@ P(x) = sum_r c_r T_r(2 x^2 - 1), which evaluates through x^2 only and
 is therefore structurally even.  Monomial coefficients a_0, a_2, ...,
 a_{2d} are accepted as input and converted to that basis once; nothing
 converts back.
+
+Every evaluation of a Chebyshev series here, of filters, sign
+approximations and their candidates alike, goes through the one
+in-place Clenshaw kernel ``_clenshaw``, whose results equal numpy's
+``chebval`` bit for bit.
 """
 
 from __future__ import annotations
@@ -50,6 +55,32 @@ DEFAULT_DEGREE_CAP = 512
 # math.erf elementwise; importing scipy.special for it would add about 5 MB
 # of resident memory to every process that imports svtkit.
 _erf = np.frompyfunc(math.erf, 1, 1)
+
+
+def _clenshaw(x, c) -> np.ndarray:
+    """sum_r c_r T_r(x), equal bit for bit to ``chebval(x, c)``.
+
+    Clenshaw's recurrence with chebval's operations in chebval's order,
+    written in place into two buffers that swap roles instead of three
+    fresh arrays per coefficient.  Fewer than 3 coefficients take
+    chebval itself.
+    """
+    c = np.asarray(c, dtype=float)
+    if c.size < 3:
+        return chebval(x, c)
+    x = np.asarray(x, dtype=float)
+    x2 = 2.0 * x
+    c0 = np.full(x.shape, c[-2])
+    c1 = np.full(x.shape, c[-1])
+    spare = np.empty(x.shape)
+    for i in range(3, c.size + 1):
+        # c0, c1 = c[-i] - c1, c0 + c1 * x2
+        np.subtract(c[-i], c1, out=spare)
+        np.multiply(c1, x2, out=c1)
+        np.add(c0, c1, out=c1)
+        c0, spare = spare, c0
+    np.multiply(c1, x, out=c1)
+    return np.add(c0, c1, out=c1)
 
 
 def _erfinv(y: float) -> float:
@@ -106,7 +137,7 @@ class EvenPolynomial:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        out = chebval(2.0 * x * x - 1.0, self._cr)
+        out = _clenshaw(2.0 * x * x - 1.0, self._cr)
         return float(out) if out.ndim == 0 else out
 
     def __repr__(self):
@@ -129,7 +160,7 @@ class OddPolynomial:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        out = chebval(0.5 * x, self._c)
+        out = _clenshaw(0.5 * x, self._c)
         return float(out) if out.ndim == 0 else out
 
     def __repr__(self):
@@ -219,7 +250,7 @@ def build_sign_approx(eta: float, xi: float,
         coef = ch.coef.copy()
         coef[0::2] = 0.0
         # one evaluation per candidate serves the sup and the certificate
-        vals = Chebyshev(coef, domain=[-2.0, 2.0])(xs)
+        vals = _clenshaw(0.5 * xs, coef)
         sup = np.abs(vals).max()
         if sup > 1.0:
             scale = sup * (1.0 + 1e-12)
@@ -316,7 +347,7 @@ def build_threshold(spec: ThresholdSpec,
             eta2, xi, degree_cap=degree_cap)
         cr = _even_interpolant(p1, p2, spec, xi)
         xs = np.linspace(0.0, 1.0, DEFAULT_GRID)  # even: [0,1] determines the sup
-        sup = np.abs(chebval(2.0 * xs * xs - 1.0, cr)).max()
+        sup = np.abs(_clenshaw(2.0 * xs * xs - 1.0, cr)).max()
         if sup > 1.0:
             cr = cr / (sup * (1.0 + 1e-12))
         candidate = EvenPolynomial(cr, threshold_spec=spec)

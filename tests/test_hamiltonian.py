@@ -18,7 +18,9 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def test_import_leaves_lanczos_module_unloaded():
+def _run_python(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports this
+    svtkit."""
     import os
     import subprocess
     import sys
@@ -28,10 +30,24 @@ def test_import_leaves_lanczos_module_unloaded():
     env = dict(os.environ)
     src = str(Path(svtkit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_leaves_lanczos_module_unloaded():
     code = "import sys, svtkit; print('scipy.sparse.linalg' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert _run_python(code).strip() == "False"
+
+
+def test_lanczos_branch_repeats_across_processes():
+    # 13 qubits is past the dense cap; without a fixed starting vector the
+    # last digits of the Lanczos eigenvalues change from process to process
+    code = ("import numpy as np\n"
+            "from svtkit import hamiltonian as ham, rand\n"
+            "H = rand.random_local_hamiltonian(np.random.default_rng(7), 13, 2, 24)\n"
+            "print(repr(ham._extremal_eigs(H.assemble_csr())))\n")
+    first, second = _run_python(code), _run_python(code)
+    assert first.startswith("(") and first == second
 
 
 @pytest.mark.parametrize("n", [4, 13])

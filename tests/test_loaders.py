@@ -170,11 +170,15 @@ def test_loader_rejects_a_truncated_file(tmp_path_factory, kind, data):
     ("circuit", "1 1 1\nMAT2 1 nan 0 0 0 0 0 1 0\n", 2),
     ("hamiltonian", "2 1 -1\n", 1),
     ("vector", "-1\n", 1),
+    ("matrix", "2 2 -1 1\n", 1),
+    ("circuit", "1 1 -1\n", 1),
 ])
 def test_loaders_reject_non_finite_values(tmp_path, kind, text, line):
     path = tmp_path / kind
     path.write_text(text)
-    with pytest.raises(ParseError, match=f"^line {line}:"):
+    # the line-1 rows declare a negative count, which the message names
+    message = "must be nonnegative" if line == 1 else ""
+    with pytest.raises(ParseError, match=f"^line {line}:.*{message}"):
         FORMATS[kind][2](path)
 
 

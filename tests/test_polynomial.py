@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebval
 from numpy.testing import assert_allclose
 
 from svtkit.errors import ConstructionError, ParseError
-from svtkit.polynomial import (EvenPolynomial, ThresholdSpec, _erfinv,
-                               _even_interpolant, _shifted_sum,
-                               build_sign_approx, build_threshold,
-                               load_polynomial, save_polynomial,
-                               verify_threshold)
+from svtkit.polynomial import (EvenPolynomial, OddPolynomial, ThresholdSpec,
+                               _clenshaw, _erfinv, _even_interpolant,
+                               _shifted_sum, build_sign_approx,
+                               build_threshold, load_polynomial,
+                               save_polynomial, verify_threshold)
 
 SPEC = ThresholdSpec(0.5, 0.7, 0.1, 0.1, 0.01)
 
@@ -29,6 +30,33 @@ def test_eval_matches_naive_monomial_sum(rng):
     xs = rng.uniform(-1, 1, size=100)
     naive = sum(c * xs ** (2 * r) for r, c in enumerate(coeffs))
     assert_allclose(P(xs), naive, rtol=1e-13)
+
+
+@st.composite
+def _points(draw):
+    """A Python float, a 0-d array, or a grid of 1-20,000 points of [-1, 1]
+    that starts with as many of -1, 0 and 1 as it has room for."""
+    kind = draw(st.sampled_from(["scalar", "0-d", "grid"]))
+    if kind != "grid":
+        x = draw(st.floats(-1.0, 1.0))
+        return x if kind == "scalar" else np.asarray(x)
+    size = draw(st.integers(1, 20_000))
+    rest = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(
+        -1.0, 1.0, max(size - 3, 0))
+    return np.concatenate([[-1.0, 0.0, 1.0][:size], rest])
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=_points(), count=st.integers(1, 800), seed=st.integers(0, 2**32 - 1))
+@example(x=np.linspace(-1.0, 1.0, 19_999), count=800, seed=0)
+@example(x=np.linspace(-1.0, 1.0, 10_001), count=366, seed=1)  # degree 730
+def test_clenshaw_kernel_equals_chebval_bit_for_bit(x, count, seed):
+    c = np.random.default_rng(seed).standard_normal(count)
+    assert np.array_equal(_clenshaw(x, c), chebval(x, c))
+    assert np.array_equal(EvenPolynomial(c)(x), chebval(2.0 * x * x - 1.0, c))
+    odd = c.copy()
+    odd[0::2] = 0.0
+    assert np.array_equal(OddPolynomial(c)(2.0 * x), chebval(x, odd))
 
 
 def test_evenness_is_structural(rng):
