@@ -193,19 +193,75 @@ def _extremal_eigs(csr: sp.csr_matrix) -> tuple:
     return float(lo), float(hi)
 
 
+def _ascending(term: LocalTerm) -> tuple:
+    """(qubits in ascending order, the block with its local qubits in that
+    order): the same operator on the register."""
+    q = term.qubits
+    order = sorted(range(len(q)), key=q.__getitem__)
+    if order == list(range(len(q))):
+        return q, term.block
+    j = len(q)
+    block = term.block.reshape((2,) * (2 * j)).transpose(
+        order + [j + a for a in order]).reshape(term.block.shape)
+    return tuple(q[a] for a in order), block
+
+
+def _weyl_bound(H: LocalHamiltonian) -> float:
+    """Upper bound on ||H|| from the term blocks alone.
+
+    Terms on the same qubit set are summed into one block G; then
+    lambda_max(H) <= sum_G lambda_max(G) and lambda_min(H) >=
+    sum_G lambda_min(G) by Weyl's inequality, each from one small
+    ``eigvalsh``.  Every G is in ascending qubit order, so the lower
+    triangles that ``eigvalsh`` reads of the G's embed into the lower
+    triangle it reads of the assembled H: the bound holds for exactly the
+    Hermitian matrix that the dense check sees, whatever the 1e-12
+    Hermitian slack of the blocks.  It includes a bound on the rounding
+    of the sums and of the small eigen-solves.
+    """
+    groups, size = {}, 0.0
+    for term in H.terms:
+        qubits, block = _ascending(term)
+        groups[qubits] = groups[qubits] + block if qubits in groups else block
+        size += np.abs(block).sum(axis=1).max()
+    lo = hi = 0.0
+    for block in groups.values():
+        w = np.linalg.eigvalsh(block)
+        lo += w[0]
+        hi += w[-1]
+    # summing the m terms of an entry errs by at most (m - 1) eps times their
+    # summed magnitude, so by (m - 1) eps sum_t ||block_t||_inf in norm, once
+    # in the assembly and once in the group sums; an eigen-solve of a 2^j
+    # block errs by a few 2^j eps ||G||
+    slack = (2 * len(H.terms) + 2 ** H.k) * np.finfo(float).eps * size
+    return float(max(hi, -lo) + slack)
+
+
 def assemble_sparse(H: LocalHamiltonian, shift: bool = False) -> SparseMatrix:
     """Sparse-access form of H, or of (H + 3I)/4 when ``shift`` is set.
 
     Validates ||H|| <= 1 and the m 2^k sparsity bound (m 2^k + 1 for the
     shifted form, whose eigenvalues then lie in [1/2, 1]).
+
+    The norm check first tries a proof from the term blocks: a Weyl bound
+    (``_weyl_bound``) of at most 1.0 accepts H with no eigen-solve of H.
+    Otherwise, and whenever a term acts on all n qubits (its block is as
+    large as H, so the proof would cost as much as the check), the
+    extremal eigenvalues of the assembled H decide, and a norm above
+    1 + 1e-9 is rejected.  The bound covers the spectrum that eigen-solve
+    reads and the rounding on both sides, and the eigen-solve's own
+    rounding stays far inside the 1e-9, so every input is accepted or
+    rejected as by the eigen-solve alone (above 12 qubits, up to the
+    tolerance of Lanczos).
     """
     if H.n > ASSEMBLE_QUBIT_CAP:
         raise SizeError(
             f"assembly capped at {ASSEMBLE_QUBIT_CAP} qubits, got n={H.n}")
     csr = H.assemble_csr()
-    norm = max(map(abs, _extremal_eigs(csr)))
-    if norm > 1.0 + 1e-9:
-        raise ValueError(f"operator norm {norm:.6f} exceeds 1")
+    if any(len(t.qubits) == H.n for t in H.terms) or _weyl_bound(H) > 1.0:
+        norm = max(map(abs, _extremal_eigs(csr)))
+        if norm > 1.0 + 1e-9:
+            raise ValueError(f"operator norm {norm!r} exceeds 1")
     s = H.sparsity_bound()
     if shift:
         csr = (csr + 3.0 * sp.identity(H.dim, dtype=complex, format="csr")) / 4.0

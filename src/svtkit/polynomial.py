@@ -268,30 +268,33 @@ def build_sign_approx(eta: float, xi: float,
         n = 2 * n_try
 
 
-def _shifted_sum(p1: OddPolynomial, p2: OddPolynomial, spec: ThresholdSpec,
-                 xi: float):
-    """The intermediate Q(x) = (1-xi)(P1'(x-t1+th1/2) + P2'(-x+t2+th2/2))/2 + xi
-    as a callable."""
-    c1 = spec.t1 - spec.theta1 / 2.0
-    c2 = spec.t2 + spec.theta2 / 2.0
-    return lambda x: (1.0 - xi) * (p1(x - c1) + p2(c2 - x)) / 2.0 + xi
-
-
 def _even_interpolant(p1: OddPolynomial, p2: OddPolynomial,
                       spec: ThresholdSpec, xi: float) -> np.ndarray:
-    """Coefficients c_r of (Q(x) + Q(-x)) / (1 + xi) as T_r(2x^2-1).
+    """Coefficients c_r of (Q(x) + Q(-x)) / (1 + xi) as T_r(2x^2-1), where
+    Q(x) = (1-xi)(P1'(x-t1+th1/2) + P2'(-x+t2+th2/2))/2 + xi.
 
     With n the larger sign-approximation degree, the even part of Q has
     degree at most n - 1, so G(w) = (Q(x) + Q(-x)) / (1 + xi) at
     x = sqrt((w + 1) / 2) is a polynomial of degree n // 2 in w, and
     interpolating it at n // 2 + 1 Chebyshev points is exact up to
-    rounding.
+    rounding.  Each distinct sign approximation is evaluated in one call
+    over all its arguments, at x and at -x (one call when p1 is p2);
+    evaluation is elementwise, so the values equal four separate calls
+    bit for bit.
     """
-    q = _shifted_sum(p1, p2, spec, xi)
+    c1 = spec.t1 - spec.theta1 / 2.0
+    c2 = spec.t2 + spec.theta2 / 2.0
 
     def g(w):
         x = np.sqrt((w + 1.0) / 2.0)
-        return (q(x) + q(-x)) / (1.0 + xi)
+        args1 = np.concatenate([x - c1, -x - c1])
+        args2 = np.concatenate([c2 - x, c2 + x])
+        if p1 is p2:
+            v1, v2 = np.split(p1(np.concatenate([args1, args2])), 2)
+        else:
+            v1, v2 = p1(args1), p2(args2)
+        q_pos, q_neg = np.split((1.0 - xi) * (v1 + v2) / 2.0 + xi, 2)
+        return (q_pos + q_neg) / (1.0 + xi)
 
     return chebinterpolate(g, max(p1.degree, p2.degree) // 2)
 
@@ -302,12 +305,15 @@ def verify_threshold(P: EvenPolynomial, spec: ThresholdSpec,
 
     Each region is sampled uniformly with ``grid`` points; the report
     carries the signed worst violation per region and passes when all
-    are within the 1e-9 tolerance.
+    are within the 1e-9 tolerance.  The bound |P| <= 1 is checked on the
+    nonnegative points of ``linspace(-1, 1, grid)``: P evaluates through
+    x * x, so P(-x) == P(x) bit for bit and the negative points would
+    repeat them up to rounding of the grid itself.
     """
     if grid < 1000:
         raise ValueError("grid must have at least 1000 points")
     xs = np.linspace(-1.0, 1.0, grid)
-    bound = float(np.abs(P(xs)).max() - 1.0)
+    bound = float(np.abs(P(xs[xs >= 0.0])).max() - 1.0)
 
     plateau_x = np.linspace(spec.t1, spec.t2, grid)
     pv = P(plateau_x)

@@ -5,8 +5,8 @@
 BASE_SRC and HEAD_SRC are the ``src`` directories of two checkouts.  The
 script writes fixed inputs with the generators of ``svtkit.rand`` and the
 ``save_*`` writers (imported from HEAD_SRC) into a temporary directory,
-then runs the ``estimate``, ``sve``, ``glh-estimate`` and ``bench``
-commands through ``python -m svtkit.cli`` against each tree.  The
+then runs the ``estimate``, ``sve``, ``glh-decide``, ``glh-estimate`` and
+``bench`` commands through ``python -m svtkit.cli`` against each tree.  The
 ``wall_time_s=`` lines are dropped; any other difference in a command's
 stdout or exit code is printed as a unified diff, and the script exits 1.
 
@@ -28,7 +28,7 @@ def write_inputs(folder: Path) -> list:
     import numpy as np
 
     from svtkit.access import save_matrix, save_vector
-    from svtkit.hamiltonian import save_hamiltonian
+    from svtkit.hamiltonian import LocalHamiltonian, LocalTerm, save_hamiltonian
     from svtkit.polynomial import ThresholdSpec, build_threshold, save_polynomial
     from svtkit.rand import (guide_with_ground_overlap, planted_sve_instance,
                              random_even_polynomial, random_local_hamiltonian,
@@ -52,6 +52,16 @@ def write_inputs(folder: Path) -> list:
     H = random_local_hamiltonian(rng, 6, 2, 8, norm=0.6)
     save_hamiltonian(path("h.ham"), H)
     save_vector(path("h.vec"), guide_with_ground_overlap(rng, H, 0.9))
+    lam = float(np.linalg.eigvalsh(H.to_dense())[0])
+    # 0.6 Z1 Z2 + 0.6 X2 X3 + 0.1 Z4: its Weyl bound over the term blocks is
+    # 1.3, so assemble_sparse falls back to the eigen-solve (norm 0.95)
+    Z = np.diag([1.0, -1.0]).astype(complex)
+    X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    F = LocalHamiltonian(4, 2, [LocalTerm((1, 2), 0.6 * np.kron(Z, Z)),
+                                LocalTerm((2, 3), 0.6 * np.kron(X, X)),
+                                LocalTerm((4,), 0.1 * Z)])
+    save_hamiltonian(path("f.ham"), F)
+    save_vector(path("f.vec"), guide_with_ground_overlap(rng, F, 0.9))
 
     estimate = ["estimate", "--matrix", path("a.mat"), "--u", path("u.vec"),
                 "--v", path("v.vec"), "--eps", "0.2", "--seed", "5"]
@@ -63,8 +73,15 @@ def write_inputs(folder: Path) -> list:
                      path(f"sve-{case}.vec"), "--t1", "0.4", "--t2", "0.6",
                      "--theta1", "0.08", "--theta2", "0.08", "--delta", "0.8",
                      "--seed", "3"])
-    runs.append(["glh-estimate", "--hamiltonian", path("h.ham"), "--guide",
-                 path("h.vec"), "--eps", "0.1", "--delta", "0.9", "--seed", "2"])
+    # thresholds 0.1 and 0.35 above the ground energy (LOW), then below (HIGH)
+    for a, b in ((lam + 0.1, lam + 0.35), (lam - 0.35, lam - 0.1)):
+        runs.append(["glh-decide", "--hamiltonian", path("h.ham"), "--guide",
+                     path("h.vec"), "--a", f"{a:.4f}", "--b", f"{b:.4f}",
+                     "--delta", "0.9", "--seed", "4"])
+    for name in ("h", "f"):
+        runs.append(["glh-estimate", "--hamiltonian", path(f"{name}.ham"),
+                     "--guide", path(f"{name}.vec"), "--eps", "0.1",
+                     "--delta", "0.9", "--seed", "2"])
     runs.append(["bench", "--seed", "11"])
     return runs
 

@@ -123,6 +123,104 @@ def test_assemble_norm_violation_rejected(rng):
         assemble_sparse(H)
 
 
+def test_norm_rejection_prints_the_norm_in_full():
+    # six decimals would print 1.000000 for a norm the check rejects
+    H = LocalHamiltonian(2, 1, [LocalTerm((1,), (1 + 1e-8) * Z)])
+    with pytest.raises(ValueError, match=r"operator norm 1\.00000001 exceeds 1"):
+        assemble_sparse(H)
+
+
+@st.composite
+def _hamiltonians(draw, norms=None):
+    """Random H on n <= 5 qubits with k <= 3, rescaled to a norm drawn from
+    ``norms`` if given; a term may reuse an earlier support, reordered or
+    cut to a nested subset, and every block is then made non-Hermitian
+    within LocalTerm's 1e-12."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, min(3, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        if terms and draw(st.booleans()):
+            support = draw(st.sampled_from(terms)).qubits
+        else:
+            support = range(1, n + 1)
+        qubits = draw(st.permutations(list(support)))
+        qubits = tuple(qubits[:draw(st.integers(1, min(k, len(qubits))))])
+        dim = 2 ** len(qubits)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        terms.append(LocalTerm(qubits, draw(st.floats(0.01, 2.0))
+                               * (g + g.conj().T) / 2))
+    H = LocalHamiltonian(n, k, terms)
+    if norms is not None and terms:
+        scale = draw(st.sampled_from(norms)) / H.operator_norm()
+        terms = [t.scaled(scale) for t in terms]
+    return LocalHamiltonian(n, k, [
+        LocalTerm(t.qubits, t.block + np.triu(
+            rng.uniform(-5e-13, 5e-13, size=t.block.shape), 1))
+        for t in terms])
+
+
+@settings(max_examples=150, deadline=None)
+@given(H=_hamiltonians())
+def test_weyl_bound_covers_the_spectrum(H):
+    assert ham._weyl_bound(H) >= np.abs(np.linalg.eigvalsh(H.to_dense())).max() - 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(H=_hamiltonians(norms=[0.5, 0.99, 1.0 - 1e-10, 1.0, 1.0 + 1e-10,
+                              1.0 + 1e-8, 1.2]))
+def test_assemble_sparse_accepts_exactly_what_the_eigen_solve_accepts(H):
+    exact = np.abs(np.linalg.eigvalsh(H.to_dense())).max() <= 1.0 + 1e-9
+    try:
+        assemble_sparse(H)
+    except ValueError as exc:
+        assert "norm" in str(exc) and not exact
+    else:
+        assert exact
+
+
+def _spy_extremal_eigs(monkeypatch) -> list:
+    calls = []
+    real = ham._extremal_eigs
+
+    def spy(csr):
+        calls.append(csr)
+        return real(csr)
+
+    monkeypatch.setattr(ham, "_extremal_eigs", spy)
+    return calls
+
+
+def _zz_xx(weight):
+    return LocalHamiltonian(3, 2, [LocalTerm((1, 2), weight * np.kron(Z, Z)),
+                                   LocalTerm((2, 3), weight * np.kron(X, X))])
+
+
+def test_provable_norm_skips_the_eigen_solve(monkeypatch):
+    calls = _spy_extremal_eigs(monkeypatch)
+    H = _zz_xx(0.3)  # Weyl bound 0.6
+    assert_allclose(assemble_sparse(H).to_dense(), H.to_dense(), atol=0)
+    assert calls == []
+
+
+def test_unprovable_norm_falls_back_to_the_eigen_solve(monkeypatch):
+    # Z1 Z2 and X2 X3 anticommute, so H^2 = 0.72 I and ||H|| = 0.85, while
+    # the Weyl bound is 0.6 + 0.6 = 1.2
+    calls = _spy_extremal_eigs(monkeypatch)
+    H = _zz_xx(0.6)
+    assert ham._weyl_bound(H) == pytest.approx(1.2)
+    assert_allclose(assemble_sparse(H).to_dense(), H.to_dense(), atol=0)
+    assert len(calls) == 1
+
+
+def test_term_on_every_qubit_takes_the_eigen_solve(monkeypatch):
+    # a block as large as H would cost as much as the check it replaces
+    calls = _spy_extremal_eigs(monkeypatch)
+    assemble_sparse(LocalHamiltonian(2, 2, [LocalTerm((2, 1), 0.3 * np.kron(Z, X))]))
+    assert len(calls) == 1
+
+
 def test_assemble_cap(rng):
     H = LocalHamiltonian(21, 1, [LocalTerm((1,), Z)])
     with pytest.raises(SizeError):

@@ -4,17 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.chebyshev import chebinterpolate, chebval
 from numpy.testing import assert_allclose
 
 from svtkit.errors import ConstructionError, ParseError
 from svtkit.polynomial import (EvenPolynomial, OddPolynomial, ThresholdSpec,
                                _clenshaw, _erfinv, _even_interpolant,
-                               _shifted_sum, build_sign_approx,
-                               build_threshold, load_polynomial,
-                               save_polynomial, verify_threshold)
+                               build_sign_approx, build_threshold,
+                               load_polynomial, save_polynomial,
+                               verify_threshold)
 
 SPEC = ThresholdSpec(0.5, 0.7, 0.1, 0.1, 0.01)
+
+
+def _shifted_sum(p1, p2, spec, xi):
+    """Q(x) = (1-xi)(P1'(x-t1+th1/2) + P2'(-x+t2+th2/2))/2 + xi, one
+    evaluation of each sign approximation per call: the unbatched
+    reference for ``_even_interpolant``."""
+    c1 = spec.t1 - spec.theta1 / 2.0
+    c2 = spec.t2 + spec.theta2 / 2.0
+    return lambda x: (1.0 - xi) * (p1(x - c1) + p2(c2 - x)) / 2.0 + xi
 
 
 def test_eval_constant_and_square():
@@ -171,9 +180,16 @@ def test_even_interpolant_is_exact_symmetrization(rng, spec, cap):
     xi = spec.chi / 3.0
     p1 = build_sign_approx(spec.theta1 / 2, xi, degree_cap=cap)
     p2 = build_sign_approx(spec.theta2 / 2, xi, degree_cap=cap)
-    P = EvenPolynomial(_even_interpolant(p1, p2, spec, xi))
+    cr = _even_interpolant(p1, p2, spec, xi)
+    P = EvenPolynomial(cr)
     assert P.degree == max(p1.degree, p2.degree) - 1
     q = _shifted_sum(p1, p2, spec, xi)
+
+    def g(w):  # unbatched: four sign-approximation calls per evaluation
+        x = np.sqrt((w + 1.0) / 2.0)
+        return (q(x) + q(-x)) / (1.0 + xi)
+
+    assert np.array_equal(cr, chebinterpolate(g, max(p1.degree, p2.degree) // 2))
     xs = rng.uniform(-1, 1, size=2000)
     assert_allclose(P(xs), (q(xs) + q(-xs)) / (1 + xi), rtol=0, atol=1e-12)
 
