@@ -14,9 +14,9 @@ after construction; RNGs are passed per call, never stored.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConstructionError, ParseError, reject_trailing
 
@@ -63,33 +63,213 @@ class QueryVector:
         return float(np.linalg.norm(self._values))
 
 
+class _Csr(NamedTuple):
+    """Compressed-row arrays, laid out as scipy's csr_matrix keeps them."""
+
+    shape: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
+def _sorted_csr(shape, rows, cols, data) -> _Csr:
+    """CSR of 0-based triplets in ascending (row, col) order, no repeats;
+    int32 indices unless a size needs more, as scipy chooses them."""
+    idx = np.int32 if max(*shape, rows.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(shape[0] + 1, dtype=idx)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return _Csr(shape, indptr, cols.astype(idx), data)
+
+
+# libstdc++'s std::sort, which scipy's csr_sort_indices calls on every row,
+# is an introsort: quicksort partitions while a range is longer than
+# _S_threshold, heapsort below a depth limit, then one insertion sort.
+_SORT_THRESHOLD = 16
+
+
+def _heap_sort(keys, perm, lo: int, hi: int):
+    """std::__partial_sort(first, last, last) on keys[lo:hi]: make_heap,
+    then sort_heap, moving perm along."""
+    items = list(zip(keys[lo:hi].tolist(), perm[lo:hi].tolist()))
+
+    def adjust(hole: int, length: int, value):  # std::__adjust_heap
+        top = child = hole
+        while child < (length - 1) // 2:
+            child = 2 * (child + 1)
+            if items[child][0] < items[child - 1][0]:
+                child -= 1
+            items[hole] = items[child]
+            hole = child
+        if length % 2 == 0 and child == (length - 2) // 2:
+            child = 2 * (child + 1)
+            items[hole] = items[child - 1]
+            hole = child - 1
+        parent = (hole - 1) // 2
+        while hole > top and items[parent][0] < value[0]:
+            items[hole] = items[parent]
+            hole = parent
+            parent = (hole - 1) // 2
+        items[hole] = value
+
+    for parent in range((len(items) - 2) // 2, -1, -1):
+        adjust(parent, len(items), items[parent])
+    for last in range(len(items) - 1, 0, -1):
+        value, items[last] = items[last], items[0]
+        adjust(0, last, value)
+    keys[lo:hi] = [k for k, _ in items]
+    perm[lo:hi] = [p for _, p in items]
+
+
+def _introsort_partitions(keys: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Permutation that std::sort's partitioning applies to each segment
+    keys[indptr[i]:indptr[i + 1]], all segments at once.
+
+    The final insertion sort is stable, so this permutation fixes the
+    order in which std::sort leaves equal keys.  One round partitions
+    every pending range: the median of its second, middle and last keys
+    goes first as the pivot, and the unguarded partition swaps the i-th
+    key >= pivot from the left with the i-th key <= pivot from the right
+    while the first lies left of the second; the cut is where the left
+    scan then stops.
+    """
+    keys = keys.copy()
+    perm = np.arange(keys.size)
+    lo, hi = indptr[:-1].astype(np.int64), indptr[1:].astype(np.int64)
+    big = hi - lo > _SORT_THRESHOLD
+    lo, hi = lo[big], hi[big]
+    depth = 2 * np.floor(np.log2(hi - lo)).astype(np.int64)
+    while lo.size:
+        for a, b in zip(lo[depth == 0], hi[depth == 0]):
+            _heap_sort(keys, perm, int(a), int(b))
+        go = depth > 0
+        lo, hi, depth = lo[go], hi[go], depth[go] - 1
+        if not lo.size:
+            break
+        a, b, c = lo + 1, lo + (hi - lo) // 2, hi - 1
+        ka, kb, kc = keys[a], keys[b], keys[c]
+        pick = np.where(ka < kb,
+                        np.where(kb < kc, b, np.where(ka < kc, c, a)),
+                        np.where(ka < kc, a, np.where(kb < kc, c, b)))
+        keys[lo], keys[pick] = keys[pick], keys[lo].copy()
+        perm[lo], perm[pick] = perm[pick], perm[lo].copy()
+        # every position of every range after its pivot, range by range
+        span = hi - lo - 1
+        seg = np.repeat(np.arange(lo.size), span)
+        pos = np.arange(seg.size) + np.repeat(lo + 1 - (np.cumsum(span) - span), span)
+        pivot = keys[lo][seg]
+        ge, le = keys[pos] >= pivot, keys[pos] <= pivot
+        left, right = pos[ge], pos[le]  # ascending within each range
+        n_left = np.bincount(seg[ge], minlength=lo.size)
+        n_right = np.bincount(seg[le], minlength=lo.size)
+        end_right = np.cumsum(n_right)
+        rank = np.arange(left.size) - np.repeat(np.cumsum(n_left) - n_left, n_left)
+        owner = seg[ge]
+        paired = rank < n_right[owner]
+        partner = np.full(left.size, -1)
+        partner[paired] = right[end_right[owner[paired]] - 1 - rank[paired]]
+        swap = left < partner
+        i, j = left[swap], partner[swap]
+        keys[i], keys[j] = keys[j], keys[i].copy()
+        perm[i], perm[j] = perm[j], perm[i].copy()
+        # the left scan stops at the next key >= pivot or at the last
+        # right-hand swap position, whichever comes first
+        swaps = np.bincount(owner[swap], minlength=lo.size)
+        cut = hi.copy()
+        stop = rank == swaps[owner]
+        cut[owner[stop]] = left[stop]
+        had = swaps > 0
+        last_swap = right[end_right[had] - swaps[had]]
+        cut[had] = np.minimum(cut[had], last_swap)
+        lo, hi, depth = (np.concatenate(x) for x in
+                         ((cut, lo), (hi, cut), (depth, depth)))
+        big = hi - lo > _SORT_THRESHOLD
+        lo, hi, depth = lo[big], hi[big], depth[big]
+    return perm
+
+
+def _coo_sum_order(nrows: int, ncols: int, rows: np.ndarray,
+                  cols: np.ndarray) -> np.ndarray:
+    """Order in which scipy's ``coo_matrix(...).tocsr()`` adds up 0-based
+    COO triplets: ascending (row, col), and within one position the
+    order its conversion leaves the repeats in.
+
+    The conversion buckets the triplets by row in input order, then,
+    unless every row is already in non-decreasing column order, runs
+    std::sort on every row's columns, which keeps equal columns in input
+    order only in rows of at most 16 triplets; the sum of the repeats
+    then goes left to right.  Summing in this order (``_fold_sorted``)
+    gives scipy's sums bit for bit.
+    """
+    order = np.argsort(rows, kind="stable")
+    keys = rows[order] * ncols + cols[order]
+    if np.any(keys[1:] < keys[:-1]):  # only within a row: rows ascend
+        indptr = np.zeros(nrows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
+        order = order[_introsort_partitions(keys, indptr)]
+        keys = rows[order] * ncols + cols[order]
+    return order[np.argsort(keys, kind="stable")]
+
+
+def _fold_sorted(keys: np.ndarray, vals: np.ndarray) -> tuple:
+    """(distinct keys, sums) for ascending ``keys``: each run of equal
+    keys summed left to right from its first value, as scipy's
+    csr_sum_duplicates does."""
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    run = np.cumsum(first) - 1
+    rank = np.arange(keys.size) - starts[run]
+    sums = vals[starts]
+    for r in range(1, int(rank.max(initial=0)) + 1):
+        at = rank == r
+        sums[run[at]] += vals[at]
+    return keys[starts], sums
+
+
 class SparseMatrix:
     """s-sparse complex matrix with dual row/column nonzero indexes.
 
-    Both a row-ordered (CSR) and a column-ordered (CSC) index are kept so
-    the l-th nonzero of any row or column is a constant-size slice lookup;
-    the CSC index is built on the first column access.  Nonzeros within a
-    row (column) are in ascending column (row) order.
+    Storage is read-only numpy CSR arrays laid out exactly as scipy
+    builds them: int32 ``indptr`` and ``indices`` (int64 only past int32
+    sizes) and the values, nonzeros within a row in ascending column
+    order.  A column-ordered (CSC) index of the same form is built on the
+    first column access, nonzeros within a column in ascending row
+    order, so the l-th nonzero of any row or column is a constant-size
+    slice lookup.  scipy is imported only when ``csr()`` is called.
     """
 
-    def __init__(self, csr: sp.csr_matrix, s: int):
-        self._csr = csr
+    def __init__(self, csr, s: int):
+        """``csr`` is any CSR matrix with ``shape``, ``indptr``,
+        ``indices`` and ``data`` (a scipy csr_matrix, say); its arrays are
+        kept as read-only views, not copied."""
+        self._shape = (int(csr.shape[0]), int(csr.shape[1]))
+        self._indptr = _frozen(np.asarray(csr.indptr))
+        self._indices = _frozen(np.asarray(csr.indices))
+        self._data = _frozen(np.asarray(csr.data))
         self._s = int(s)
         self._validate()
 
     @cached_property
-    def _csc(self) -> sp.csc_matrix:
-        csc = self._csr.tocsc()
-        csc.sort_indices()
-        return csc
+    def _csc(self) -> _Csr:
+        order = np.argsort(self._indices, kind="stable")
+        rows = np.repeat(np.arange(self.nrows), np.diff(self._indptr))
+        csc = _sorted_csr((self.ncols, self.nrows), self._indices[order],
+                          rows[order], self._data[order])
+        return _Csr(csc.shape, *map(_frozen, csc[1:]))
 
     def _validate(self):
-        if not np.all(np.isfinite(self._csr.data)):
+        if not np.all(np.isfinite(self._data)):
             raise ValueError("matrix entries must be finite")
-        if self._csr.nnz != np.count_nonzero(self._csr.data):
+        if self.nnz != np.count_nonzero(self._data):
             raise ValueError("stored values must all be nonzero")
-        row_counts = np.diff(self._csr.indptr)
-        col_counts = np.bincount(self._csr.indices, minlength=self.ncols)
+        row_counts = np.diff(self._indptr)
+        col_counts = np.bincount(self._indices, minlength=self.ncols)
         worst = max(row_counts.max(initial=0), col_counts.max(initial=0))
         if worst > self._s:
             raise ValueError(
@@ -116,9 +296,8 @@ class SparseMatrix:
         keys = rows * ncols + cols
         if np.unique(keys).size != keys.size:
             raise ValueError("duplicate (row, col) entries in input")
-        coo = sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols))
-        csr = coo.tocsr()
-        csr.sort_indices()
+        order = np.argsort(keys, kind="stable")
+        csr = _sorted_csr((nrows, ncols), rows[order], cols[order], vals[order])
         if s is None:
             s = max(
                 np.diff(csr.indptr).max(initial=0),
@@ -128,10 +307,11 @@ class SparseMatrix:
 
     @classmethod
     def from_dense(cls, dense, s=None) -> "SparseMatrix":
-        dense = np.asarray(dense, dtype=complex)
-        csr = sp.csr_matrix(dense)
-        csr.eliminate_zeros()
-        csr.sort_indices()
+        dense = np.atleast_2d(np.asarray(dense, dtype=complex))
+        if dense.ndim != 2:
+            raise ValueError("expected a matrix")
+        rows, cols = np.nonzero(dense)
+        csr = _sorted_csr(dense.shape, rows, cols, dense[rows, cols])
         if s is None:
             row_counts = np.diff(csr.indptr)
             col_counts = np.bincount(csr.indices, minlength=csr.shape[1])
@@ -140,11 +320,11 @@ class SparseMatrix:
 
     @property
     def nrows(self) -> int:
-        return self._csr.shape[0]
+        return self._shape[0]
 
     @property
     def ncols(self) -> int:
-        return self._csr.shape[1]
+        return self._shape[1]
 
     @property
     def s(self) -> int:
@@ -152,7 +332,7 @@ class SparseMatrix:
 
     @property
     def nnz(self) -> int:
-        return self._csr.nnz
+        return int(self._indptr[-1])
 
     def row_entry(self, i: int, ell: int):
         """The ell-th nonzero of row i as (col, value), or None if the row
@@ -161,11 +341,11 @@ class SparseMatrix:
             raise IndexError(f"row {i} out of range [1, {self.nrows}]")
         if not 1 <= ell <= self._s:
             raise IndexError(f"rank {ell} out of range [1, s={self._s}]")
-        lo, hi = self._csr.indptr[i - 1], self._csr.indptr[i]
+        lo, hi = self._indptr[i - 1], self._indptr[i]
         if ell > hi - lo:
             return None
         k = lo + ell - 1
-        return int(self._csr.indices[k]) + 1, complex(self._csr.data[k])
+        return int(self._indices[k]) + 1, complex(self._data[k])
 
     def col_entry(self, j: int, ell: int):
         """The ell-th nonzero of column j as (row, value), or None."""
@@ -181,20 +361,39 @@ class SparseMatrix:
 
     def row_nonzeros(self, i: int):
         """All nonzeros of 0-based row i as (cols, values) array views."""
-        lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
-        return self._csr.indices[lo:hi], self._csr.data[lo:hi]
+        lo, hi = self._indptr[i], self._indptr[i + 1]
+        return self._indices[lo:hi], self._data[lo:hi]
 
     def col_nonzeros(self, j: int):
         """All nonzeros of 0-based column j as (rows, values) array views."""
         lo, hi = self._csc.indptr[j], self._csc.indptr[j + 1]
         return self._csc.indices[lo:hi], self._csc.data[lo:hi]
 
-    def csr(self) -> sp.csr_matrix:
-        """The underlying scipy CSR (shared, do not mutate)."""
-        return self._csr
+    def csr_arrays(self) -> tuple:
+        """The read-only (indptr, indices, data) arrays of the CSR storage."""
+        return self._indptr, self._indices, self._data
+
+    def csr(self):
+        """The matrix as a scipy csr_matrix over the same read-only arrays
+        (shared, do not mutate), built and cached on the first call, which
+        imports scipy.sparse.  In svtkit only sparse contractions, Lanczos
+        and ``kitaev.build_terms`` call it."""
+        return self._scipy_csr
+
+    @cached_property
+    def _scipy_csr(self):
+        import scipy.sparse as sp  # only csr() and sparse contractions need it
+
+        return sp.csr_matrix((self._data, self._indices, self._indptr),
+                             shape=self._shape)
 
     def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
+        out = np.zeros(self._shape, dtype=self._data.dtype)
+        rows = np.repeat(np.arange(self.nrows), np.diff(self._indptr))
+        # summing into zeros, as scipy's toarray does, so a stored -0.0
+        # part reads +0.0 in both
+        np.add.at(out, (rows, self._indices), self._data)
+        return out
 
 
 class SampledVector:
@@ -370,14 +569,11 @@ def load_vector(path) -> np.ndarray:
 
 
 def save_matrix(path, A: SparseMatrix):
-    csr = A.csr()
     with open(path, "w") as fh:
         fh.write(f"{A.nrows} {A.ncols} {A.nnz} {A.s}\n")
         for i in range(A.nrows):
-            lo, hi = csr.indptr[i], csr.indptr[i + 1]
-            for k in range(lo, hi):
-                z = csr.data[k]
-                fh.write(f"{i + 1} {csr.indices[k] + 1} "
+            for c, z in zip(*A.row_nonzeros(i)):
+                fh.write(f"{i + 1} {c + 1} "
                          f"{float(z.real)!r} {float(z.imag)!r}\n")
 
 

@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .access import SampledVector, SparseMatrix
+from .access import (SampledVector, SparseMatrix, _coo_sum_order, _fold_sorted,
+                     _sorted_csr)
 from .errors import ConfigError, ParseError, SizeError, reject_trailing
 from .sve import HAS_SV, SveProblem, SveResult, decide_singular_interval
 
@@ -114,80 +114,90 @@ class LocalHamiltonian:
         return self.num_terms * 2 ** self.k
 
     def _term_coo(self, term: LocalTerm):
-        n = self.n
-        q = term.qubits
-        j = len(q)
-        sub_shifts = [n - qq for qq in q]
-        rest = [p for p in range(1, n + 1) if p not in q]
-        rest_shifts = [n - p for p in rest]
-
-        t = np.arange(2 ** len(rest), dtype=np.int64)
-        base = np.zeros_like(t)
-        for b, shift in enumerate(rest_shifts):
-            base |= ((t >> (len(rest) - 1 - b)) & 1) << shift
-
-        def spread(local: int) -> int:
-            out = 0
-            for a in range(j):
-                out |= ((local >> (j - 1 - a)) & 1) << sub_shifts[a]
-            return out
-
-        empty = np.empty(0, dtype=np.int64)
-        rows, cols = [empty], [empty]
-        vals = [np.empty(0, dtype=complex)]
+        """COO triplets of one term on the register; within each row they
+        follow the block's row-major nonzero order."""
+        spread = _spread(term.qubits, self.n)
+        # register indices with every bit of the term's qubits 0, ascending
+        base = np.flatnonzero((np.arange(self.dim) & spread[-1]) == 0)
         r_idx, c_idx = np.nonzero(term.block)
-        for r, c in zip(r_idx, c_idx):
-            rows.append(base + spread(int(r)))
-            cols.append(base + spread(int(c)))
-            vals.append(np.full(base.size, term.block[r, c], dtype=complex))
-        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+        rows = (spread[r_idx][:, None] + base).ravel()
+        cols = (spread[c_idx][:, None] + base).ravel()
+        return rows, cols, np.repeat(term.block[r_idx, c_idx], base.size)
 
-    def assemble_csr(self) -> sp.csr_matrix:
-        """Raw sparse assembly, no norm validation."""
-        if not self.terms:
-            return sp.csr_matrix((self.dim, self.dim), dtype=complex)
-        rows, cols, vals = [], [], []
-        for term in self.terms:
-            r, c, v = self._term_coo(term)
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-        coo = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.dim, self.dim))
-        csr = coo.tocsr()
-        csr.sum_duplicates()
-        csr.eliminate_zeros()
-        csr.sort_indices()
-        return csr
+    def assemble_csr(self, shift: bool = False) -> SparseMatrix:
+        """Raw sparse assembly of H, or of (H + 3I)/4 when ``shift`` is
+        set, with no norm validation; s is the m 2^k bound (plus 1 for the
+        shift).
+
+        One COO pass over the terms sums each position in the order
+        scipy's COO-to-CSR conversion does, and then adds 3 to every
+        diagonal position, so the arrays and values are bit for bit those
+        of scipy's ``coo_matrix(...).tocsr()`` (and of ``(csr + 3I) / 4``).
+        """
+        dim = self.dim
+        parts = [self._term_coo(t) for t in self.terms]
+        rows, cols = (np.concatenate([p[a] for p in parts]
+                                     + [np.empty(0, dtype=np.int64)])
+                      for a in (0, 1))
+        vals = np.concatenate([p[2] for p in parts] + [np.empty(0, dtype=complex)])
+        order = _coo_sum_order(dim, dim, rows, cols)
+        keys, vals = rows[order] * dim + cols[order], vals[order]
+        s = self.sparsity_bound()
+        if shift:
+            # 3I comes after all of H's terms at each diagonal position
+            keys = np.concatenate((keys, np.arange(dim) * (dim + 1)))
+            vals = np.concatenate((vals, np.full(dim, 3.0 + 0j)))
+            at = np.argsort(keys, kind="stable")
+            keys, vals = keys[at], vals[at]
+            s += 1
+        keys, vals = _fold_sorted(keys, vals)
+        if shift:
+            # scipy's H + 3I adds 0 off the diagonal too, which turns a -0.0
+            # part into 0.0; zero sums drop before the scaling, as there
+            vals = vals + 0.0
+        nonzero = vals != 0
+        keys, vals = keys[nonzero], vals[nonzero]
+        if shift:
+            vals = vals * 0.25
+        return SparseMatrix(_sorted_csr((dim, dim), keys // dim, keys % dim, vals), s)
 
     def to_dense(self) -> np.ndarray:
         if self.n > DENSE_QUBIT_CAP:
             raise SizeError(f"dense assembly capped at n={DENSE_QUBIT_CAP}")
-        return self.assemble_csr().toarray()
+        return self.assemble_csr().to_dense()
 
     def operator_norm(self) -> float:
         """Exact for n <= 12, Lanczos extremal eigenvalues above that."""
         return max(map(abs, _extremal_eigs(self.assemble_csr())))
 
 
-def _extremal_eigs(csr: sp.csr_matrix) -> tuple:
-    """(lowest, highest) eigenvalue of a Hermitian CSR matrix: dense
-    ``eigvalsh`` up to 2^DENSE_QUBIT_CAP rows, Lanczos above.  Every
-    Hamiltonian spectrum in the package comes from here.  Lanczos starts
-    from a fixed seeded vector, so its last digits repeat from run to
-    run."""
-    if not csr.nnz:  # ARPACK fails on H = 0 ("starting vector is zero")
+def _spread(qubits, n: int) -> np.ndarray:
+    """Register index of each local index of a block on ``qubits``
+    (1-based, qubit 1 the most significant bit), the other bits 0."""
+    local = np.arange(2 ** len(qubits))
+    out = np.zeros_like(local)
+    for a, q in enumerate(qubits):
+        out |= ((local >> (len(qubits) - 1 - a)) & 1) << (n - q)
+    return out
+
+
+def _extremal_eigs(A: SparseMatrix) -> tuple:
+    """(lowest, highest) eigenvalue of a Hermitian sparse matrix: dense
+    ``eigvalsh`` up to 2^DENSE_QUBIT_CAP rows, Lanczos above, the only
+    branch that imports scipy.  Every Hamiltonian spectrum in the package
+    comes from here.  Lanczos starts from a fixed seeded vector, so its
+    last digits repeat from run to run."""
+    if not A.nnz:  # ARPACK fails on H = 0 ("starting vector is zero")
         return 0.0, 0.0
-    dim = csr.shape[0]
+    dim = A.nrows
     if dim <= 2 ** DENSE_QUBIT_CAP:
-        w = np.linalg.eigvalsh(csr.toarray())
+        w = np.linalg.eigvalsh(A.to_dense())
         return float(w[0]), float(w[-1])
     import scipy.sparse.linalg as spla  # only this branch needs Lanczos
 
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    lo, hi = (spla.eigsh(csr, k=1, which=which, v0=v0,
+    lo, hi = (spla.eigsh(A.csr(), k=1, which=which, v0=v0,
                          return_eigenvectors=False)[0]
               for which in ("SA", "LA"))
     return float(lo), float(hi)
@@ -257,18 +267,13 @@ def assemble_sparse(H: LocalHamiltonian, shift: bool = False) -> SparseMatrix:
     if H.n > ASSEMBLE_QUBIT_CAP:
         raise SizeError(
             f"assembly capped at {ASSEMBLE_QUBIT_CAP} qubits, got n={H.n}")
-    csr = H.assemble_csr()
+    A = H.assemble_csr(shift)
     if any(len(t.qubits) == H.n for t in H.terms) or _weyl_bound(H) > 1.0:
-        norm = max(map(abs, _extremal_eigs(csr)))
+        # the exact check reads H itself, a second assembly when A is shifted
+        norm = max(map(abs, _extremal_eigs(H.assemble_csr() if shift else A)))
         if norm > 1.0 + 1e-9:
             raise ValueError(f"operator norm {norm!r} exceeds 1")
-    s = H.sparsity_bound()
-    if shift:
-        csr = (csr + 3.0 * sp.identity(H.dim, dtype=complex, format="csr")) / 4.0
-        csr = csr.tocsr()
-        csr.sort_indices()
-        s += 1
-    return SparseMatrix(csr, s)
+    return A
 
 
 def _ground_split(H: LocalHamiltonian) -> tuple:

@@ -25,8 +25,14 @@ from the Chebyshev moments mu_r = u-dagger T_r(S) u as sum_r c_r mu_r
 a degree-D filter from ceil(D/4) matvecs in O(N) memory, and one set
 of moments serves every filter on the same (A, u).
 
-Each thread keeps one slot (A, S, apply, moments), keyed on object
-identity: a call with the same A reuses S; apply = (u, P, w) is the
+S is a dense array when A is small and its rows share enough columns,
+and a scipy CSR matrix otherwise (``_contraction`` holds the one rule
+and its measured trade-off).  Both hold the same values, so nnz(S), which
+the query counters charge, is the same either way; S @ x differs in
+rounding only.
+
+Each thread keeps one slot (A, (S, nnz(S)), apply, moments), keyed on
+object identity: a call with the same A reuses S; apply = (u, P, w) is the
 last Chebyshev apply, returned (read-only) for the same u array and P;
 moments = (u, mu) is the last moment pass, returned for the same u
 array when it is long enough for the filter and recomputed at the new
@@ -34,9 +40,10 @@ length otherwise.  So reading several entries of one vector costs one
 apply, and deciding several filters against one guide costs one
 moment pass.  The slot never holds two contractions.  Its strong
 references keep those ids from being reused, and the key objects are
-immutable.  It holds at most nnz(S) + N + D/2 numbers per thread
-beyond the inputs it keeps alive.  Query counts are charged on every
-call, cache hit or not.
+immutable.  Beyond the inputs it keeps alive it holds at most
+(N + 1)^2 + N + D/2 numbers per thread for a dense S (stored with one
+padding row and column), nnz(S) + N + D/2 for a sparse one.  Query
+counts are charged on every call, cache hit or not.
 
 Randomized layer: one sample draws j from the sampling-access
 distribution of v and takes X_j = w_j m^2 / v_j with
@@ -57,7 +64,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .access import QueryVector, SampledVector, SparseMatrix
 from .errors import ConfigError, InvalidSamplerError, ShapeError
@@ -165,18 +171,89 @@ def chain_entry(matrices, u: QueryVector, i: int, memo: bool = True,
     return complex(value(len(matrices), i - 1))
 
 
-def _contraction(A: SparseMatrix) -> sp.csr_matrix:
-    """S = 2 A-dagger A - I, Hermitian with spectrum in [-1, 1] when ||A|| <= 1."""
+# S is dense when A is small and its rows share enough columns.  On one
+# core a dense matvec costs the same at any fill (1.4, 3.8 and 13 us at
+# N = 64, 128 and 256), while a CSR matvec grows with nnz(S): dense wins at
+# every fill at N = 64, above about 10 % fill at N = 128 and 19 % at
+# N = 256, and building a dense S costs about what scipy's sparse product
+# does.  The rule reads the pair density sum_i L_i^2 / N^2 (L_i the
+# nonzeros in row i of A), the work of forming S and a bound on its fill.
+# Its 1/16 keeps every glh Hamiltonian up to n = 8 dense: a dense 2-local
+# term puts 4 nonzeros in every row, so the density is at least 16 / N
+# (0.25-2.6 on most, 1/16 when all terms share one qubit pair); every sve
+# matrix (0.23-0.25) is dense too, and the estimate and entry matrices
+# (at most 0.033) stay sparse.  At n = 8, S is often only 2-19 % full,
+# where the dense matvec is up to 5x slower; not importing scipy.sparse
+# (20 MB, 0.2 s) into those processes pays for it.
+DENSE_MAX_N = 256
+DENSE_MIN_PAIR_DENSITY = 1 / 16
+PAIR_BLOCK = 1 << 16
+
+
+def _contraction(A: SparseMatrix) -> tuple:
+    """(S, nnz(S)) for S = 2 A-dagger A - I, Hermitian with spectrum in
+    [-1, 1] when ||A|| <= 1.
+
+    S is a dense array when N <= DENSE_MAX_N and sum_i L_i^2 >=
+    DENSE_MIN_PAIR_DENSITY N^2, and a scipy CSR matrix otherwise (scipy
+    imported here on first use).  Either way nnz(S) counts the nonzero
+    entries of the same values, and the query counters charge it.
+    """
+    n = A.ncols
+    length = np.diff(A.csr_arrays()[0]).astype(np.int64)
+    if n <= DENSE_MAX_N and n * n <= np.dot(length, length) / DENSE_MIN_PAIR_DENSITY:
+        return _dense_contraction(A)
+    import scipy.sparse as sp  # only sparse contractions need it
+
     csr = A.csr()
     gram = (csr.conj().T @ csr).tocsr()
+    S = (2.0 * gram - sp.identity(n, dtype=complex, format="csr")).tocsr()
+    return S, S.nnz
+
+
+def _dense_contraction(A: SparseMatrix) -> tuple:
+    """(S, nnz(S)) with S a dense array holding the values of scipy's
+    sparse S bit for bit, up to the sign of zero parts.
+
+    Row k of A adds conj(A_kj) A_kc to G_jc for every pair (j, c) of its
+    nonzeros.  The real and imaginary parts are summed in ascending k from
+    0, with the products formed as scipy's sparse product forms them, so
+    G holds its values and S its nonzeros.  Rows go in blocks of at most
+    PAIR_BLOCK pairs, which bounds the memory for any A.
+    """
     n = A.ncols
-    return (2.0 * gram - sp.identity(n, dtype=complex, format="csr")).tocsr()
+    indptr, indices, data = A.csr_arrays()
+    length = np.diff(indptr)
+    # rows of A padded to one width, the pads in an extra column n
+    rows = np.repeat(np.arange(length.size), length)
+    slot = np.arange(data.size) - np.repeat(indptr[:-1], length)
+    re = np.zeros((length.size, length.max(initial=0)))
+    im, col = np.zeros_like(re), np.full(re.shape, n)
+    re[rows, slot], im[rows, slot], col[rows, slot] = data.real, data.imag, indices
+    G = np.zeros(2 * (n + 1) ** 2)  # real and imaginary parts side by side
+    block = max(1, PAIR_BLOCK // max(1, re.shape[1] ** 2))
+    for k in range(0, length.size, block):
+        r, i, c = re[k:k + block], im[k:k + block], col[k:k + block]
+        rj, ij, rc, ic = r[:, :, None], i[:, :, None], r[:, None, :], i[:, None, :]
+        parts = np.empty(rj.shape[:2] + rc.shape[2:] + (2,))
+        parts[..., 0] = rc * rj + ic * ij
+        parts[..., 1] = ic * rj - rc * ij
+        key = np.empty(parts.shape, dtype=np.intp)
+        key[..., 0] = c[:, :, None] * (2 * (n + 1)) + 2 * c[:, None, :]
+        np.add(key[..., 0], 1, out=key[..., 1])
+        np.add.at(G, key.ravel(), parts.ravel())  # in order, repeats included
+    G = G.view(complex).reshape(n + 1, n + 1)
+    G *= 2.0
+    G.flat[::n + 2] -= 1.0
+    S = G[:n, :n]  # row stride n + 1, which BLAS takes as it is
+    return S, int(np.count_nonzero(S != 0))
 
 
 def _slot_for(A: SparseMatrix) -> tuple:
-    """This thread's slot (A, S, apply, moments) when A is its matrix;
-    otherwise the slot is cleared, so that it never holds two
-    contractions, and a fresh (A, S, None, None) is returned unstored."""
+    """This thread's slot (A, (S, nnz(S)), apply, moments) when A is its
+    matrix; otherwise the slot is cleared, so that it never holds two
+    contractions, and a fresh (A, (S, nnz(S)), None, None) is returned
+    unstored."""
     slot = getattr(_last_apply, "slot", None)
     if slot is not None and slot[0] is A:
         return slot
@@ -195,17 +272,18 @@ def _cheb_apply(A: SparseMatrix, u_arr: np.ndarray, P: EvenPolynomial,
     stores nothing.  Raises ConfigError when some ||T_r(S) u||^2 exceeds
     (1 + NORM_TOLERANCE) ||u||^2, which means ||A|| > 1.
     """
-    _, S, apply, moments = _slot_for(A)
+    _, contraction, apply, moments = _slot_for(A)
+    S, nnz = contraction
     steps = P.degree // 2
     if counter is not None:
-        # each recurrence step reads every stored entry of S once
+        # each recurrence step reads every nonzero entry of S once
         counter.row_fetches += steps * S.shape[0]
-        counter.entry_probes += steps * S.nnz
+        counter.entry_probes += steps * nnz
     if apply is not None and apply[0] is u_arr and apply[1] is P:
         return apply[2]
     w = _recurrence(S, u_arr, P.cheb_even())
     w.flags.writeable = False
-    _last_apply.slot = (A, S, (u_arr, P, w), moments)
+    _last_apply.slot = (A, contraction, (u_arr, P, w), moments)
     return w
 
 
@@ -221,20 +299,21 @@ def _moments(A: SparseMatrix, u_arr: np.ndarray, count: int,
     Raises ConfigError, storing nothing, when ||A|| > 1 shows in the
     moments.
     """
-    _, S, apply, moments = _slot_for(A)
+    _, contraction, apply, moments = _slot_for(A)
+    S, nnz = contraction
     steps = count // 2
     if counter is not None:
         counter.row_fetches += steps * S.shape[0]
-        counter.entry_probes += steps * S.nnz
+        counter.entry_probes += steps * nnz
     if moments is not None and moments[0] is u_arr and moments[1].size >= count:
         return moments[1][:count]
     mu = _moment_pass(S, u_arr, count)
     mu.flags.writeable = False
-    _last_apply.slot = (A, S, apply, (u_arr, mu))
+    _last_apply.slot = (A, contraction, apply, (u_arr, mu))
     return mu
 
 
-def _moment_pass(S: sp.csr_matrix, u_arr: np.ndarray, count: int) -> np.ndarray:
+def _moment_pass(S, u_arr: np.ndarray, count: int) -> np.ndarray:
     """mu_r = u-dagger T_r(S) u for r < count from count // 2 matvecs.
 
     S is Hermitian, so T_j T_k = (T_{j+k} + T_{|j-k|}) / 2 gives
@@ -268,7 +347,7 @@ def _moment_pass(S: sp.csr_matrix, u_arr: np.ndarray, count: int) -> np.ndarray:
     return mu
 
 
-def _recurrence(S: sp.csr_matrix, u_arr: np.ndarray,
+def _recurrence(S, u_arr: np.ndarray,
                 cr: np.ndarray) -> np.ndarray:
     """sum_r cr[r] T_r(S) u, checking ||T_r(S) u|| against ||u||."""
     y = cr[0] * u_arr

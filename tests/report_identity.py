@@ -1,6 +1,6 @@
 """Check that two source trees print the same CLI reports for fixed seeds.
 
-    python tests/report_identity.py BASE_SRC HEAD_SRC
+    python tests/report_identity.py BASE_SRC HEAD_SRC [EXPECTED_DIFF]
 
 BASE_SRC and HEAD_SRC are the ``src`` directories of two checkouts.  The
 script writes fixed inputs with the generators of ``svtkit.rand`` and the
@@ -8,11 +8,16 @@ script writes fixed inputs with the generators of ``svtkit.rand`` and the
 then runs the ``estimate``, ``sve``, ``glh-decide``, ``glh-estimate`` and
 ``bench`` commands through ``python -m svtkit.cli`` against each tree.  The
 ``wall_time_s=`` lines are dropped; any other difference in a command's
-stdout or exit code is printed as a unified diff, and the script exits 1.
+stdout or exit code is printed as a ``DIFFERENT:`` line and a unified
+diff, and the script exits 1.
 
-A change that alters reports on purpose (a new RNG stream, a new report
-key) fails this check and says so in its description.  pytest does not
-collect this file: its name does not match ``test_*.py``.
+A change that alters reports on purpose (a new RNG stream, the last
+digits of a value) declares the alteration in EXPECTED_DIFF: the script
+then prints each diff without context lines and exits 0 only when all of
+them together, ``DIFFERENT:`` lines included, equal that file exactly.
+The file is what the script prints in this mode minus the ``same:`` lines
+and the closing verdict; an empty file declares that no report changes.
+pytest does not collect this file: its name does not match ``test_*.py``.
 """
 
 import difflib
@@ -102,9 +107,10 @@ def report(src: str, argv: list) -> list:
 
 
 def main(argv) -> int:
-    if len(argv) != 3:
+    if len(argv) not in (3, 4):
         sys.exit(__doc__)
-    base, head = (str(Path(p).resolve()) for p in argv[1:])
+    base, head = (str(Path(p).resolve()) for p in argv[1:3])
+    expected = Path(argv[3]).read_text() if len(argv) == 4 else None
     for src in (base, head):  # a run that imports another tree shows nothing
         env = dict(os.environ, PYTHONPATH=src)
         where = subprocess.run(
@@ -113,7 +119,7 @@ def main(argv) -> int:
         if not Path(where.strip()).resolve().is_relative_to(src):
             raise RuntimeError(f"PYTHONPATH={src} imports svtkit from {where}")
     sys.path.insert(0, head)
-    failed = 0
+    produced = []
     with tempfile.TemporaryDirectory() as tmp:
         for args in write_inputs(Path(tmp)):
             name = " ".join(a.replace(tmp + os.sep, "") for a in args)
@@ -121,12 +127,21 @@ def main(argv) -> int:
             if old == new:
                 print(f"same: {name}")
                 continue
-            failed += 1
-            print(f"DIFFERENT: {name}")
-            sys.stdout.writelines(difflib.unified_diff(
+            block = [f"DIFFERENT: {name}\n"] + list(difflib.unified_diff(
                 [ln + "\n" for ln in old], [ln + "\n" for ln in new],
-                fromfile="base", tofile="head"))
-    return 1 if failed else 0
+                fromfile="base", tofile="head", n=3 if expected is None else 0))
+            sys.stdout.writelines(block)
+            produced += block
+    if expected is None:
+        return 1 if produced else 0
+    if "".join(produced) == expected:
+        print(f"every difference is declared in {argv[3]}, and nothing more")
+        return 0
+    print(f"the differences are not the ones declared in {argv[3]}:")
+    sys.stdout.writelines(difflib.unified_diff(
+        expected.splitlines(keepends=True), produced,
+        fromfile="declared", tofile="produced"))
+    return 1
 
 
 if __name__ == "__main__":

@@ -90,9 +90,9 @@ def test_assemble_sparse_assembles_once(monkeypatch, shift):
     calls = []
     real = LocalHamiltonian.assemble_csr
 
-    def spy(self):
+    def spy(self, *args):
         calls.append(self)
-        return real(self)
+        return real(self, *args)
 
     monkeypatch.setattr(LocalHamiltonian, "assemble_csr", spy)
     H = LocalHamiltonian(3, 2, [LocalTerm((1, 3), 0.5 * np.kron(Z, X))])

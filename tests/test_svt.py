@@ -3,6 +3,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from svtkit import svt
@@ -160,7 +162,7 @@ def test_cheb_entry_is_bitwise_one_recurrence(rng):
     A = random_sparse_matrix(rng, 20, 20, 3)
     u = QueryVector(random_unit_vector(rng, 20))
     P = build_threshold_cached(FILTER)
-    S, cr = _contraction(A), P.cheb_even()
+    (S, _), cr = _contraction(A), P.cheb_even()
     prev, cur = u.dense(), S @ u.dense()
     fresh = cr[0] * prev + cr[1] * cur
     for r in range(2, cr.size):
@@ -262,7 +264,7 @@ def test_moment_contraction_matches_oracle(rng, spec, degree):
     assert res.value.imag == 0.0 and res.degree == degree
     assert res.total_samples == 0
     steps = -(-degree // 4)
-    assert res.counter == QueryCounter(steps * 40, steps * _contraction(A).nnz)
+    assert res.counter == QueryCounter(steps * 40, steps * _contraction(A)[1])
 
 
 def test_interleaved_moment_contractions_are_never_stale(rng):
@@ -622,3 +624,105 @@ def test_query_cost_scaling_single_point(rng):
     from svtkit.cli import bench_point
     point = bench_point(3, 2, 32, seed=1)
     assert point["entry_probes"] <= 8 * point["bound"]
+
+
+def _scipy_contraction(A):
+    """S = 2 A-dagger A - I as scipy's sparse product builds it."""
+    import scipy.sparse as sp
+    csr = A.csr()
+    gram = (csr.conj().T @ csr).tocsr()
+    return (2.0 * gram - sp.identity(A.ncols, dtype=complex, format="csr")).tocsr()
+
+
+def _contraction_cases(rng):
+    """(A, dense?) on both sides of the density rule."""
+    from conftest import shifted_hamiltonian
+    from svtkit.hamiltonian import LocalHamiltonian, LocalTerm, assemble_sparse
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    X2 = (g + g.conj().T) / np.linalg.norm(g + g.conj().T, 2)
+    from svtkit.rand import planted_sve_instance
+    sve, _, _ = planted_sve_instance(rng, 64, 0.5, 0.7, 0.1, 0.1, 0.6, "inside")
+    return [
+        (SparseMatrix.from_dense(np.diag([1.0, 0.5, 0.2])), True),
+        (random_sparse_matrix(rng, 32, 32, 4), True),
+        (sve, True),
+        (assemble_sparse(shifted_hamiltonian(rng, 6, 2, 5), shift=True), True),
+        (assemble_sparse(shifted_hamiltonian(rng, 8, 2, 3), shift=True), True),
+        # 2-local terms all on one pair: 4 nonzeros per row, density 1/16
+        (assemble_sparse(LocalHamiltonian(8, 2, [LocalTerm((1, 2), 0.25 * X2)]
+                                          + [LocalTerm((3,), 0.25 * np.eye(2))]),
+                         shift=True), True),
+        (random_sparse_matrix(rng, 256, 256, 4), False),
+        (random_sparse_matrix(rng, 128, 128, 1), False),
+        (random_sparse_matrix(rng, 260, 260, 16), False),
+    ]
+
+
+def test_dense_and_sparse_contractions_agree(rng):
+    P = build_threshold_cached(FILTER)
+    for A, dense in _contraction_cases(rng):
+        S, nnz = _contraction(A)
+        assert isinstance(S, np.ndarray) == dense
+        ref = _scipy_contraction(A)
+        assert nnz == ref.nnz
+        u = random_unit_vector(rng, A.ncols)
+        steps = P.degree // 2
+        svt._last_apply.slot = None
+        counter = QueryCounter()
+        w = svt._cheb_apply(A, u, P, counter)
+        assert np.abs(w - svt._recurrence(ref, u, P.cheb_even())).max() <= 1e-12
+        assert counter == QueryCounter(steps * A.ncols, steps * ref.nnz)
+        counter = QueryCounter()
+        mu = svt._moments(A, u, 366, counter)
+        assert np.abs(mu - svt._moment_pass(ref, u, 366)).max() <= 1e-12
+        assert counter == QueryCounter(183 * A.ncols, 183 * ref.nnz)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24),
+       fill=st.floats(0.0, 1.0), integer=st.booleans())
+def test_dense_contraction_holds_scipy_values(seed, n, fill, integer):
+    # small integer entries make entries of A-dagger A cancel exactly, which
+    # only the same sums in the same order reproduce
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    dense[rng.random((n, n)) >= fill] = 0
+    if integer:
+        dense = np.round(dense)
+    if not dense.any():
+        return
+    A = SparseMatrix.from_dense(dense)
+    S, nnz = svt._dense_contraction(A)  # whichever side of the rule A is on
+    ref = _scipy_contraction(A)
+    assert nnz == ref.nnz and np.array_equal(S, ref.toarray())
+
+
+def test_dense_contraction_in_row_blocks(rng, monkeypatch):
+    # blocks of one or a few rows sum in the same order as one block
+    A = SparseMatrix.from_dense(np.round(2 * rng.normal(size=(40, 24))) + 1j)
+    ref = _scipy_contraction(A)
+    for pairs in (1, 600, 1 << 16):
+        monkeypatch.setattr(svt, "PAIR_BLOCK", pairs)
+        S, nnz = svt._dense_contraction(A)
+        assert nnz == ref.nnz and np.array_equal(S, ref.toarray())
+
+
+def test_norm_above_one_raises_on_the_dense_contraction():
+    from svtkit.sve import SveProblem, decide_singular_interval
+    bad = SparseMatrix.from_dense(np.diag([1.02, 0.5, 0.2]))
+    assert isinstance(_contraction(bad)[0], np.ndarray)  # N = 3 is dense
+    P = build_threshold_cached(SCAN_FILTER, degree_cap=4096)
+    u = np.ones(3) / np.sqrt(3.0)
+    uq = QueryVector(u)
+    cfg = EstimatorConfig.for_target(0.25, 0.05, seed=1)
+    problem = SveProblem(matrix=bad, guide=exact_sampler(u), t1=0.5,
+                         t2=0.71875, theta1=0.5, theta2=0.03125, delta=0.5)
+    calls = [lambda: svt_entry(bad, uq, P, 1),
+             lambda: svt_entries(bad, uq, P, [1, 2, 3]),
+             lambda: estimate_bilinear(bad, uq, exact_sampler(u), P, cfg)]
+    calls += [lambda mode=mode: decide_singular_interval(
+        problem, degree_cap=4096, contraction=mode) for mode in ("exact", "sampled")]
+    for call in calls:
+        svt._last_apply.slot = None
+        with pytest.raises(ConfigError, match="exceeds 1"):
+            call()
