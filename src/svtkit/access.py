@@ -9,6 +9,11 @@ estimate m with |m - ||v||| <= zeta * ||v||).
 
 All indices at the public interface are 1-based.  Objects are immutable
 after construction; RNGs are passed per call, never stored.
+
+A SparseMatrix is built from distinct positions only (a dense array, a
+list of entries or CSR arrays) and so sums nothing; the one assembly
+that sums repeated positions, of a local Hamiltonian's terms, lives in
+``hamiltonian.py`` with the order of its sums.
 """
 
 from __future__ import annotations
@@ -85,151 +90,6 @@ def _sorted_csr(shape, rows, cols, data) -> _Csr:
     indptr = np.zeros(shape[0] + 1, dtype=idx)
     np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
     return _Csr(shape, indptr, cols.astype(idx), data)
-
-
-# libstdc++'s std::sort, which scipy's csr_sort_indices calls on every row,
-# is an introsort: quicksort partitions while a range is longer than
-# _S_threshold, heapsort below a depth limit, then one insertion sort.
-_SORT_THRESHOLD = 16
-
-
-def _heap_sort(keys, perm, lo: int, hi: int):
-    """std::__partial_sort(first, last, last) on keys[lo:hi]: make_heap,
-    then sort_heap, moving perm along."""
-    items = list(zip(keys[lo:hi].tolist(), perm[lo:hi].tolist()))
-
-    def adjust(hole: int, length: int, value):  # std::__adjust_heap
-        top = child = hole
-        while child < (length - 1) // 2:
-            child = 2 * (child + 1)
-            if items[child][0] < items[child - 1][0]:
-                child -= 1
-            items[hole] = items[child]
-            hole = child
-        if length % 2 == 0 and child == (length - 2) // 2:
-            child = 2 * (child + 1)
-            items[hole] = items[child - 1]
-            hole = child - 1
-        parent = (hole - 1) // 2
-        while hole > top and items[parent][0] < value[0]:
-            items[hole] = items[parent]
-            hole = parent
-            parent = (hole - 1) // 2
-        items[hole] = value
-
-    for parent in range((len(items) - 2) // 2, -1, -1):
-        adjust(parent, len(items), items[parent])
-    for last in range(len(items) - 1, 0, -1):
-        value, items[last] = items[last], items[0]
-        adjust(0, last, value)
-    keys[lo:hi] = [k for k, _ in items]
-    perm[lo:hi] = [p for _, p in items]
-
-
-def _introsort_partitions(keys: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Permutation that std::sort's partitioning applies to each segment
-    keys[indptr[i]:indptr[i + 1]], all segments at once.
-
-    The final insertion sort is stable, so this permutation fixes the
-    order in which std::sort leaves equal keys.  One round partitions
-    every pending range: the median of its second, middle and last keys
-    goes first as the pivot, and the unguarded partition swaps the i-th
-    key >= pivot from the left with the i-th key <= pivot from the right
-    while the first lies left of the second; the cut is where the left
-    scan then stops.
-    """
-    keys = keys.copy()
-    perm = np.arange(keys.size)
-    lo, hi = indptr[:-1].astype(np.int64), indptr[1:].astype(np.int64)
-    big = hi - lo > _SORT_THRESHOLD
-    lo, hi = lo[big], hi[big]
-    depth = 2 * np.floor(np.log2(hi - lo)).astype(np.int64)
-    while lo.size:
-        for a, b in zip(lo[depth == 0], hi[depth == 0]):
-            _heap_sort(keys, perm, int(a), int(b))
-        go = depth > 0
-        lo, hi, depth = lo[go], hi[go], depth[go] - 1
-        if not lo.size:
-            break
-        a, b, c = lo + 1, lo + (hi - lo) // 2, hi - 1
-        ka, kb, kc = keys[a], keys[b], keys[c]
-        pick = np.where(ka < kb,
-                        np.where(kb < kc, b, np.where(ka < kc, c, a)),
-                        np.where(ka < kc, a, np.where(kb < kc, c, b)))
-        keys[lo], keys[pick] = keys[pick], keys[lo].copy()
-        perm[lo], perm[pick] = perm[pick], perm[lo].copy()
-        # every position of every range after its pivot, range by range
-        span = hi - lo - 1
-        seg = np.repeat(np.arange(lo.size), span)
-        pos = np.arange(seg.size) + np.repeat(lo + 1 - (np.cumsum(span) - span), span)
-        pivot = keys[lo][seg]
-        ge, le = keys[pos] >= pivot, keys[pos] <= pivot
-        left, right = pos[ge], pos[le]  # ascending within each range
-        n_left = np.bincount(seg[ge], minlength=lo.size)
-        n_right = np.bincount(seg[le], minlength=lo.size)
-        end_right = np.cumsum(n_right)
-        rank = np.arange(left.size) - np.repeat(np.cumsum(n_left) - n_left, n_left)
-        owner = seg[ge]
-        paired = rank < n_right[owner]
-        partner = np.full(left.size, -1)
-        partner[paired] = right[end_right[owner[paired]] - 1 - rank[paired]]
-        swap = left < partner
-        i, j = left[swap], partner[swap]
-        keys[i], keys[j] = keys[j], keys[i].copy()
-        perm[i], perm[j] = perm[j], perm[i].copy()
-        # the left scan stops at the next key >= pivot or at the last
-        # right-hand swap position, whichever comes first
-        swaps = np.bincount(owner[swap], minlength=lo.size)
-        cut = hi.copy()
-        stop = rank == swaps[owner]
-        cut[owner[stop]] = left[stop]
-        had = swaps > 0
-        last_swap = right[end_right[had] - swaps[had]]
-        cut[had] = np.minimum(cut[had], last_swap)
-        lo, hi, depth = (np.concatenate(x) for x in
-                         ((cut, lo), (hi, cut), (depth, depth)))
-        big = hi - lo > _SORT_THRESHOLD
-        lo, hi, depth = lo[big], hi[big], depth[big]
-    return perm
-
-
-def _coo_sum_order(nrows: int, ncols: int, rows: np.ndarray,
-                  cols: np.ndarray) -> np.ndarray:
-    """Order in which scipy's ``coo_matrix(...).tocsr()`` adds up 0-based
-    COO triplets: ascending (row, col), and within one position the
-    order its conversion leaves the repeats in.
-
-    The conversion buckets the triplets by row in input order, then,
-    unless every row is already in non-decreasing column order, runs
-    std::sort on every row's columns, which keeps equal columns in input
-    order only in rows of at most 16 triplets; the sum of the repeats
-    then goes left to right.  Summing in this order (``_fold_sorted``)
-    gives scipy's sums bit for bit.
-    """
-    order = np.argsort(rows, kind="stable")
-    keys = rows[order] * ncols + cols[order]
-    if np.any(keys[1:] < keys[:-1]):  # only within a row: rows ascend
-        indptr = np.zeros(nrows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
-        order = order[_introsort_partitions(keys, indptr)]
-        keys = rows[order] * ncols + cols[order]
-    return order[np.argsort(keys, kind="stable")]
-
-
-def _fold_sorted(keys: np.ndarray, vals: np.ndarray) -> tuple:
-    """(distinct keys, sums) for ascending ``keys``: each run of equal
-    keys summed left to right from its first value, as scipy's
-    csr_sum_duplicates does."""
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    starts = np.flatnonzero(first)
-    run = np.cumsum(first) - 1
-    rank = np.arange(keys.size) - starts[run]
-    sums = vals[starts]
-    for r in range(1, int(rank.max(initial=0)) + 1):
-        at = rank == r
-        sums[run[at]] += vals[at]
-    return keys[starts], sums
 
 
 class SparseMatrix:

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .access import (SampledVector, SparseMatrix, _coo_sum_order, _fold_sorted,
-                     _sorted_csr)
+from .access import SampledVector, SparseMatrix, _sorted_csr
 from .errors import ConfigError, ParseError, SizeError, reject_trailing
 from .sve import HAS_SV, SveProblem, SveResult, decide_singular_interval
 
@@ -129,32 +128,26 @@ class LocalHamiltonian:
         set, with no norm validation; s is the m 2^k bound (plus 1 for the
         shift).
 
-        One COO pass over the terms sums each position in the order
-        scipy's COO-to-CSR conversion does, and then adds 3 to every
-        diagonal position, so the arrays and values are bit for bit those
-        of scipy's ``coo_matrix(...).tocsr()`` (and of ``(csr + 3I) / 4``).
+        One COO pass lists every term's triplets in term order, then the
+        3I diagonal when shifted; one stable sort by position makes each
+        position sum its repeats left to right in that order (3 last), so
+        the sums are the same on any platform.  Zero sums drop, and the
+        shifted sums are then scaled by 1/4.
         """
         dim = self.dim
         parts = [self._term_coo(t) for t in self.terms]
+        s = self.sparsity_bound()
+        if shift:
+            diagonal = np.arange(dim)
+            parts.append((diagonal, diagonal, np.full(dim, 3.0 + 0j)))
+            s += 1
         rows, cols = (np.concatenate([p[a] for p in parts]
                                      + [np.empty(0, dtype=np.int64)])
                       for a in (0, 1))
         vals = np.concatenate([p[2] for p in parts] + [np.empty(0, dtype=complex)])
-        order = _coo_sum_order(dim, dim, rows, cols)
-        keys, vals = rows[order] * dim + cols[order], vals[order]
-        s = self.sparsity_bound()
-        if shift:
-            # 3I comes after all of H's terms at each diagonal position
-            keys = np.concatenate((keys, np.arange(dim) * (dim + 1)))
-            vals = np.concatenate((vals, np.full(dim, 3.0 + 0j)))
-            at = np.argsort(keys, kind="stable")
-            keys, vals = keys[at], vals[at]
-            s += 1
-        keys, vals = _fold_sorted(keys, vals)
-        if shift:
-            # scipy's H + 3I adds 0 off the diagonal too, which turns a -0.0
-            # part into 0.0; zero sums drop before the scaling, as there
-            vals = vals + 0.0
+        keys = rows * dim + cols
+        order = np.argsort(keys, kind="stable")
+        keys, vals = _fold_sorted(keys[order], vals[order])
         nonzero = vals != 0
         keys, vals = keys[nonzero], vals[nonzero]
         if shift:
@@ -169,6 +162,21 @@ class LocalHamiltonian:
     def operator_norm(self) -> float:
         """Exact for n <= 12, Lanczos extremal eigenvalues above that."""
         return max(map(abs, _extremal_eigs(self.assemble_csr())))
+
+
+def _fold_sorted(keys: np.ndarray, vals: np.ndarray) -> tuple:
+    """(distinct keys, sums) for ascending ``keys``: each run of equal
+    keys summed left to right from its first value."""
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    run = np.cumsum(first) - 1
+    rank = np.arange(keys.size) - starts[run]
+    sums = vals[starts]
+    for r in range(1, int(rank.max(initial=0)) + 1):
+        at = rank == r
+        sums[run[at]] += vals[at]
+    return keys[starts], sums
 
 
 def _spread(qubits, n: int) -> np.ndarray:
@@ -257,20 +265,23 @@ def assemble_sparse(H: LocalHamiltonian, shift: bool = False) -> SparseMatrix:
     (``_weyl_bound``) of at most 1.0 accepts H with no eigen-solve of H.
     Otherwise, and whenever a term acts on all n qubits (its block is as
     large as H, so the proof would cost as much as the check), the
-    extremal eigenvalues of the assembled H decide, and a norm above
-    1 + 1e-9 is rejected.  The bound covers the spectrum that eigen-solve
-    reads and the rounding on both sides, and the eigen-solve's own
-    rounding stays far inside the 1e-9, so every input is accepted or
-    rejected as by the eigen-solve alone (above 12 qubits, up to the
-    tolerance of Lanczos).
+    extremal eigenvalues of the returned matrix decide, so H is assembled
+    once (the shifted form's eigenvalues mu map back to lambda = 4 mu - 3,
+    adding rounding of order 1e-14), and a norm above 1 + 1e-9 is
+    rejected.  The bound covers the spectrum that eigen-solve reads and
+    the rounding on both sides, and the eigen-solve's own rounding stays
+    far inside the 1e-9, so every input is accepted or rejected as by the
+    eigen-solve alone (above 12 qubits, up to the tolerance of Lanczos).
     """
     if H.n > ASSEMBLE_QUBIT_CAP:
         raise SizeError(
             f"assembly capped at {ASSEMBLE_QUBIT_CAP} qubits, got n={H.n}")
     A = H.assemble_csr(shift)
     if any(len(t.qubits) == H.n for t in H.terms) or _weyl_bound(H) > 1.0:
-        # the exact check reads H itself, a second assembly when A is shifted
-        norm = max(map(abs, _extremal_eigs(H.assemble_csr() if shift else A)))
+        lo, hi = _extremal_eigs(A)
+        if shift:  # A = (H + 3I)/4 has the eigenvalues (lambda + 3)/4
+            lo, hi = 4.0 * lo - 3.0, 4.0 * hi - 3.0
+        norm = max(abs(lo), abs(hi))
         if norm > 1.0 + 1e-9:
             raise ValueError(f"operator norm {norm!r} exceeds 1")
     return A

@@ -1,9 +1,13 @@
-"""svtkit's numpy CSR storage against the arrays scipy builds.
+"""svtkit's numpy CSR storage against the arrays scipy builds, and the
+order in which Hamiltonian assembly sums repeated positions.
 
-Every array must match scipy's in dtype and bytes, so that CSR digests and
-every value computed from the matrices stay what they were when scipy
-built them.  scipy is the oracle here and nowhere in svtkit's sve and glh
-paths.
+``from_dense`` and ``from_entries`` take distinct positions, so every
+array they build must match scipy's in dtype and bytes.  Hamiltonian
+assembly sums each position's repeats left to right in term order, 3
+last when shifted: it must match a plain loop that does so bit for bit,
+and scipy's assembly, which sums in another order, within a rounding
+bound fixed from float64 epsilon and the repeat count.  scipy is the
+oracle here and nowhere in svtkit's sve and glh paths.
 """
 
 import numpy as np
@@ -12,7 +16,6 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svtkit import access
 from svtkit.access import SparseMatrix
 from svtkit.hamiltonian import LocalHamiltonian, LocalTerm
 
@@ -101,22 +104,29 @@ def _loop_coo(H: LocalHamiltonian, term: LocalTerm):
     return rows, cols, vals
 
 
-def _scipy_assembly(H: LocalHamiltonian, shift: bool):
-    rows, cols, vals = [], [], []
+def _triplets(H: LocalHamiltonian, shift: bool):
+    """All COO triplets of H in term order, then 3 on every diagonal
+    position when shifted."""
+    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    vals = [np.empty(0, dtype=complex)]
     for term in H.terms:
         r, c, v = _loop_coo(H, term)
         rows += r
         cols += c
         vals += v
-    if not rows:
-        csr = sp.csr_matrix((H.dim, H.dim), dtype=complex)
-    else:
-        csr = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                                   np.concatenate(cols))),
-                            shape=(H.dim, H.dim)).tocsr()
-        csr.sum_duplicates()
-        csr.eliminate_zeros()
-        csr.sort_indices()
+    if shift:
+        rows.append(np.arange(H.dim))
+        cols.append(np.arange(H.dim))
+        vals.append(np.full(H.dim, 3.0 + 0j))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _scipy_assembly(H: LocalHamiltonian, shift: bool):
+    rows, cols, vals = _triplets(H, shift=False)
+    csr = sp.coo_matrix((vals, (rows, cols)), shape=(H.dim, H.dim)).tocsr()
+    csr.sum_duplicates()
+    csr.eliminate_zeros()
+    csr.sort_indices()
     if shift:
         csr = ((csr + 3.0 * sp.identity(H.dim, dtype=complex, format="csr"))
                / 4.0).tocsr()
@@ -143,68 +153,47 @@ def _hamiltonians(draw):
     return LocalHamiltonian(n, k, terms)
 
 
+def _reference_assembly(H: LocalHamiltonian, shift: bool):
+    """Each position's triplets summed one at a time, left to right from
+    the first, zero sums dropped, then scaled by 1/4 when shifted."""
+    sums = {}
+    for r, c, v in zip(*_triplets(H, shift)):
+        key = (int(r), int(c))
+        sums[key] = sums[key] + v if key in sums else v
+    keys = sorted(key for key, v in sums.items() if v != 0)
+    data = np.array([sums[key] for key in keys], dtype=complex)
+    if shift:
+        data = data * 0.25
+    indptr = np.zeros(H.dim + 1, dtype=np.int32)
+    np.cumsum(np.bincount([r for r, _ in keys], minlength=H.dim), out=indptr[1:])
+    indices = np.array([c for _, c in keys], dtype=np.int32)
+    return sp.csr_matrix((data, indices, indptr), shape=(H.dim, H.dim))
+
+
 @settings(max_examples=120, deadline=None)
 @given(H=_hamiltonians(), shift=st.booleans())
-def test_hamiltonian_assembly_matches_scipy(H, shift):
+def test_hamiltonian_assembly_sums_in_term_order(H, shift):
     A = H.assemble_csr(shift)
-    want = _scipy_assembly(H, shift)
-    _assert_same_csr(A, want)
+    _assert_same_csr(A, _reference_assembly(H, shift))
     assert A.s == H.sparsity_bound() + shift
 
 
-# Keys on which libstdc++'s introsort, which scipy sorts CSR rows with,
-# exhausts its depth limit and heap-sorts the rest of the range, with
-# repeats that the heap sort reorders (found by running a median-of-3
-# adversary against the quicksort, then merging keys while the heap
-# sort still ran).
-_HEAP_SORTED = [8, 0, 15, 1, 15, 2, 15, 3, 15, 4, 15, 7, 7, 6, 19, 15, 8, 6,
-                15, 19, 0, 1, 2, 3, 4, 5, 6, 7, 8, 19, 15, 15, 15, 15, 15, 8,
-                15, 15, 15, 2]
-
-
-def _scipy_sums(nrows, ncols, rows, cols, vals):
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)).tocsr().tocoo()
-    return coo.row.astype(np.int64) * ncols + coo.col, coo.data
-
-
-def _sums(nrows, ncols, rows, cols, vals):
-    order = access._coo_sum_order(nrows, ncols, rows, cols)
-    return access._fold_sorted(rows[order] * ncols + cols[order], vals[order])
-
-
-def test_sum_order_follows_the_heap_sort(monkeypatch):
-    heap_sorts = []
-    real = access._heap_sort
-    monkeypatch.setattr(access, "_heap_sort",
-                        lambda *args: heap_sorts.append(1) or real(*args))
-    cols = np.array(_HEAP_SORTED, dtype=np.int64)
-    rows = np.zeros_like(cols)
-    rng = np.random.default_rng(3)
-    vals = (rng.normal(size=cols.size) * 10.0 ** rng.integers(-8, 8, cols.size)
-            + 1j * rng.normal(size=cols.size))
-    keys, sums = _sums(1, 20, rows, cols, vals)
-    assert heap_sorts
-    want_keys, want = _scipy_sums(1, 20, rows, cols, vals)
-    assert np.array_equal(keys, want_keys) and _same(sums, want)
-    stable = np.argsort(cols, kind="stable")  # input order gives other sums
-    assert not _same(access._fold_sorted(cols[stable], vals[stable])[1], want)
-
-
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), nrows=st.integers(1, 5),
-       ncols=st.integers(1, 40), count=st.integers(0, 400),
-       pattern=st.sampled_from(["random", "ascending", "descending"]))
-def test_summed_repeats_match_scipy(seed, nrows, ncols, count, pattern):
-    rng = np.random.default_rng(seed)
-    rows = rng.integers(0, nrows, count)
-    cols = rng.integers(0, ncols, count)
-    if pattern != "random":
-        cols = np.sort(cols) if pattern == "ascending" else np.sort(cols)[::-1].copy()
-    vals = (rng.normal(size=count) * 10.0 ** rng.integers(-8, 8, count)
-            + 1j * rng.normal(size=count))
-    keys, sums = _sums(nrows, ncols, rows, cols, vals)
-    want_keys, want = _scipy_sums(nrows, ncols, rows, cols, vals)
-    assert np.array_equal(keys, want_keys) and _same(sums, want)
+@settings(max_examples=120, deadline=None)
+@given(H=_hamiltonians(), shift=st.booleans())
+def test_hamiltonian_assembly_matches_scipy(H, shift):
+    # two orders of summing m numbers differ by at most 2 (m - 1) eps times
+    # their summed magnitude in each part; scipy adds the 3 after its sum
+    # of H's repeats too, which the bound's m and magnitude count
+    rows, cols, vals = _triplets(H, shift)
+    repeats = np.zeros((H.dim, H.dim))
+    magnitude = np.zeros((H.dim, H.dim))
+    np.add.at(repeats, (rows, cols), 1)
+    np.add.at(magnitude, (rows, cols), np.abs(vals))
+    scale = 0.25 if shift else 1.0
+    tol = 4 * repeats * np.finfo(float).eps * magnitude * scale
+    A = H.assemble_csr(shift)
+    assert np.all(np.abs(A.to_dense() - _scipy_assembly(H, shift).toarray()) <= tol)
+    assert A.s == H.sparsity_bound() + shift
 
 
 def test_arrays_are_read_only(rng):
@@ -215,14 +204,3 @@ def test_arrays_are_read_only(rng):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         A.csr_arrays()[2][0] = 1.0
-
-
-def test_shift_turns_negative_zero_parts_positive_as_scipy_does():
-    # scipy's H + 3I adds 0 to every entry off the diagonal, which turns a
-    # -0.0 part into +0.0; scaling by 1/4 then keeps the sign of the zero
-    blocks = [np.array([[0.0, x], [x, 0.0]], dtype=complex) for x in (0.3, -0.5)]
-    for block in blocks:
-        block.imag[:] = -0.0  # the sum has the parts -0.2 and -0.0
-    H = LocalHamiltonian(1, 1, [LocalTerm((1,), b) for b in blocks])
-    for shift in (False, True):
-        _assert_same_csr(H.assemble_csr(shift), _scipy_assembly(H, shift))

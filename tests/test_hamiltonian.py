@@ -95,9 +95,15 @@ def test_assemble_sparse_assembles_once(monkeypatch, shift):
         return real(self, *args)
 
     monkeypatch.setattr(LocalHamiltonian, "assemble_csr", spy)
+    eigen_solves = _spy_extremal_eigs(monkeypatch)
     H = LocalHamiltonian(3, 2, [LocalTerm((1, 3), 0.5 * np.kron(Z, X))])
     assemble_sparse(H, shift=shift)
-    assert calls == [H]
+    assert calls == [H] and eigen_solves == []
+    # without a Weyl proof the eigen-solve reads the returned matrix, for
+    # the shifted form (H + 3I)/4, not a second assembly of H
+    H = _zz_xx(0.6)
+    A = assemble_sparse(H, shift=shift)
+    assert calls[1:] == [H] and eigen_solves == [A]
 
 
 def test_assemble_matches_dense_kron_oracle(rng):
@@ -167,9 +173,11 @@ def test_weyl_bound_covers_the_spectrum(H):
     assert ham._weyl_bound(H) >= np.abs(np.linalg.eigvalsh(H.to_dense())).max() - 1e-12
 
 
+_NORMS = [0.5, 0.99, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 1.0 + 1e-8, 1.2]
+
+
 @settings(max_examples=150, deadline=None)
-@given(H=_hamiltonians(norms=[0.5, 0.99, 1.0 - 1e-10, 1.0, 1.0 + 1e-10,
-                              1.0 + 1e-8, 1.2]))
+@given(H=_hamiltonians(norms=_NORMS))
 def test_assemble_sparse_accepts_exactly_what_the_eigen_solve_accepts(H):
     exact = np.abs(np.linalg.eigvalsh(H.to_dense())).max() <= 1.0 + 1e-9
     try:
@@ -178,6 +186,22 @@ def test_assemble_sparse_accepts_exactly_what_the_eigen_solve_accepts(H):
         assert "norm" in str(exc) and not exact
     else:
         assert exact
+
+
+def _rejects(H, shift) -> bool:
+    try:
+        assemble_sparse(H, shift=shift)
+    except ValueError as exc:
+        assert "norm" in str(exc)
+        return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(H=_hamiltonians(norms=_NORMS))
+def test_shifted_assembly_rejects_exactly_what_the_plain_one_rejects(H):
+    # the shifted check reads (H + 3I)/4 and maps its spectrum back
+    assert _rejects(H, shift=True) == _rejects(H, shift=False)
 
 
 def _spy_extremal_eigs(monkeypatch) -> list:
