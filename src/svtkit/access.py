@@ -141,15 +141,15 @@ class SparseMatrix:
         """Build from 1-based (row, col, value) triples.
 
         Duplicate (row, col) pairs are an error, not a merge; zero values
-        are rejected.  When ``s`` is omitted it is set to the observed
-        maximum row/column occupancy.
+        are rejected.  No entries give the zero matrix.  When ``s`` is
+        omitted it is set to the observed maximum row/column occupancy.
         """
-        if not entries:
-            raise ValueError("matrix must have at least one nonzero")
+        if nrows < 1 or ncols < 1:
+            raise ValueError("matrix dimensions must be positive")
         rows = np.array([e[0] for e in entries], dtype=np.int64) - 1
         cols = np.array([e[1] for e in entries], dtype=np.int64) - 1
         vals = np.array([e[2] for e in entries], dtype=complex)
-        if rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols:
+        if np.any((rows < 0) | (rows >= nrows) | (cols < 0) | (cols >= ncols)):
             raise IndexError("entry position out of range")
         if np.any(vals == 0):
             raise ValueError("explicit zero entries are not allowed")

@@ -32,6 +32,8 @@ from .svt import EstimatorConfig, QueryCounter
 
 __all__ = ["main"]
 
+BENCH_PROBES = 4  # svt_entry calls per bench point; its cost is the worst
+
 
 class Report:
     def __init__(self):
@@ -145,8 +147,7 @@ def _glh_problem(args, need):
 def _cmd_glh_decide(args) -> int:
     t0 = time.perf_counter()
     problem = _glh_problem(args, "decision")
-    res = hamiltonian.decide_glh(problem, fail_prob=args.fail_prob,
-                                 seed=args.seed)
+    res = hamiltonian.decide_glh(problem, fail_prob=args.fail_prob)
     print(res.decision)
     rep = Report()
     rep.add("command", "glh-decide")
@@ -275,13 +276,14 @@ def _parse_sweep(spec: str) -> dict:
     return out
 
 
-def bench_point(s: int, d: int, n: int, seed: int, probes: int = 4) -> dict:
-    """Worst per-call query cost of svt_entry on a random instance."""
+def bench_point(s: int, d: int, n: int, seed: int) -> dict:
+    """Worst per-call query cost of svt_entry over BENCH_PROBES entries of
+    a random instance."""
     rng = np.random.default_rng(seed)
     A = rand.random_sparse_matrix(rng, n, n, s)
     u = QueryVector(rand.random_unit_vector(rng, n))
     P = rand.random_even_polynomial(rng, d)
-    idx = rng.integers(1, n + 1, size=probes)
+    idx = rng.integers(1, n + 1, size=BENCH_PROBES)
     worst = QueryCounter()
     for i in idx:
         counter = QueryCounter()

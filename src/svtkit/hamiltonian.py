@@ -51,8 +51,6 @@ HIGH = "HIGH"
 LOCALITY_CAP = 10       # dense 2^k blocks stop being a desk-scale object here
 ASSEMBLE_QUBIT_CAP = 20
 DENSE_QUBIT_CAP = 12
-# gap decisions at eps 0.25 need degree-730 filters, past the sve default of 512
-GLH_DEGREE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -371,19 +369,17 @@ class GlhEstimate:
 
 
 def _decide_shifted(shifted: SparseMatrix, guide: SampledVector, a: float,
-                    b: float, delta: float, fail_prob: float, seed: int,
-                    contraction: str) -> GlhDecision:
+                    b: float, delta: float, fail_prob: float, seed: int = 0,
+                    contraction: str = "exact") -> GlhDecision:
     problem = SveProblem(matrix=shifted, guide=guide, t1=0.5, t2=(3.0 + a) / 4.0,
                          theta1=0.5, theta2=(b - a) / 4.0, delta=delta)
     sve = decide_singular_interval(problem, fail_prob=fail_prob, seed=seed,
-                                   degree_cap=GLH_DEGREE_CAP,
                                    contraction=contraction)
     decision = LOW if sve.decision == HAS_SV else HIGH
     return GlhDecision(decision=decision, a=a, b=b, sve=sve)
 
 
-def decide_glh(problem: GlhProblem, fail_prob: float = 0.01,
-               seed: int = 0) -> GlhDecision:
+def decide_glh(problem: GlhProblem, fail_prob: float = 0.01) -> GlhDecision:
     """Decide lambda_H <= a (LOW) versus lambda_H >= b (HIGH).
 
     Eigenvalues of (H + 3I)/4 equal its singular values and lie in
@@ -395,7 +391,7 @@ def decide_glh(problem: GlhProblem, fail_prob: float = 0.01,
         raise ConfigError("decision form requires thresholds a and b")
     shifted = assemble_sparse(problem.hamiltonian, shift=True)
     return _decide_shifted(shifted, problem.guide, problem.a, problem.b,
-                           problem.delta, fail_prob, seed, "exact")
+                           problem.delta, fail_prob)
 
 
 def _bisection_steps(eps: float) -> int:

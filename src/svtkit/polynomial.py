@@ -50,7 +50,9 @@ __all__ = [
 
 CERT_TOLERANCE = 1e-9
 DEFAULT_GRID = 10_000
-DEFAULT_DEGREE_CAP = 512
+# Guard against runaway construction, not a parameter of the filter: the
+# gap decisions of the ground-energy scan need degree 730.
+DEGREE_CAP = 4096
 
 # math.erf elementwise; importing scipy.special for it would add about 5 MB
 # of resident memory to every process that imports svtkit.
@@ -104,7 +106,7 @@ def _erfinv(y: float) -> float:
 class EvenPolynomial:
     """Even real polynomial P(x) = sum_r c_r T_r(2 x^2 - 1) of degree 2d."""
 
-    def __init__(self, cheb_even, threshold_spec=None):
+    def __init__(self, cheb_even):
         cr = np.atleast_1d(np.asarray(cheb_even, dtype=float))
         if cr.ndim != 1 or cr.size == 0:
             raise ValueError("expected a nonempty coefficient array")
@@ -112,7 +114,6 @@ class EvenPolynomial:
             raise ValueError("polynomial coefficients must be finite")
         self._cr = cr.copy()
         self._cr.flags.writeable = False
-        self.threshold_spec = threshold_spec
 
     @classmethod
     def from_even_coeffs(cls, even_coeffs) -> "EvenPolynomial":
@@ -222,16 +223,15 @@ def _certify_sign_boxes(xs, vals, eta, xi):
 
 
 @lru_cache(maxsize=64)
-def build_sign_approx(eta: float, xi: float,
-                      degree_cap: int = DEFAULT_DEGREE_CAP) -> OddPolynomial:
+def build_sign_approx(eta: float, xi: float) -> OddPolynomial:
     """Odd polynomial close to sign(x) away from the origin.
 
     Returns P' with P'(x) in [-1, 1] on [-2, 2], in [1-xi, 1] on [eta, 2]
     and in [-1, -1+xi] on [-2, -eta], certified on a DEFAULT_GRID-point
     grid.  Built as a truncated Chebyshev expansion of erf(k x) with k
     set from eta, with the degree doubled on certification failure up to
-    ``degree_cap``.  Memoized on (eta, xi, degree_cap): repeat calls
-    share one read-only result.
+    DEGREE_CAP.  Memoized on (eta, xi): repeat calls share one read-only
+    result.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -244,7 +244,7 @@ def build_sign_approx(eta: float, xi: float,
     xs = np.linspace(-2.0, 2.0, DEFAULT_GRID)
     attempts = []
     while True:
-        n_try = min(n, degree_cap)
+        n_try = min(n, DEGREE_CAP)
         ch = Chebyshev.interpolate(lambda x: _erf(k * x).astype(float), deg=n_try,
                                    domain=[-2.0, 2.0])
         coef = ch.coef.copy()
@@ -260,10 +260,10 @@ def build_sign_approx(eta: float, xi: float,
         attempts.append((n_try, violation))
         if violation <= CERT_TOLERANCE:
             return OddPolynomial(coef)
-        if n_try >= degree_cap:
+        if n_try >= DEGREE_CAP:
             raise ConstructionError(
                 f"sign approximation failed certification at the degree cap "
-                f"{degree_cap} (eta={eta}, xi={xi}; attempts={attempts})"
+                f"{DEGREE_CAP} (eta={eta}, xi={xi}; attempts={attempts})"
             )
         n = 2 * n_try
 
@@ -331,8 +331,7 @@ def verify_threshold(P: EvenPolynomial, spec: ThresholdSpec,
     return ThresholdReport(bound, plateau, outer)
 
 
-def build_threshold(spec: ThresholdSpec,
-                    degree_cap: int = DEFAULT_DEGREE_CAP) -> EvenPolynomial:
+def build_threshold(spec: ThresholdSpec) -> EvenPolynomial:
     """Certified even threshold polynomial for ``spec``.
 
     Two odd sign approximations (transition widths theta1/2 and theta2/2)
@@ -348,15 +347,14 @@ def build_threshold(spec: ThresholdSpec,
     for _ in range(4):
         eta1 = spec.theta1 / 2.0
         eta2 = spec.theta2 / 2.0
-        p1 = build_sign_approx(eta1, xi, degree_cap=degree_cap)
-        p2 = p1 if eta2 == eta1 else build_sign_approx(
-            eta2, xi, degree_cap=degree_cap)
+        p1 = build_sign_approx(eta1, xi)
+        p2 = p1 if eta2 == eta1 else build_sign_approx(eta2, xi)
         cr = _even_interpolant(p1, p2, spec, xi)
         xs = np.linspace(0.0, 1.0, DEFAULT_GRID)  # even: [0,1] determines the sup
         sup = np.abs(_clenshaw(2.0 * xs * xs - 1.0, cr)).max()
         if sup > 1.0:
             cr = cr / (sup * (1.0 + 1e-12))
-        candidate = EvenPolynomial(cr, threshold_spec=spec)
+        candidate = EvenPolynomial(cr)
         report = verify_threshold(candidate, spec)
         if report.passed:
             return candidate
@@ -368,16 +366,9 @@ def build_threshold(spec: ThresholdSpec,
 
 
 @lru_cache(maxsize=64)
-def _threshold_cache(t1, t2, theta1, theta2, chi, degree_cap):
-    return build_threshold(ThresholdSpec(t1, t2, theta1, theta2, chi),
-                           degree_cap=degree_cap)
-
-
-def build_threshold_cached(spec: ThresholdSpec,
-                           degree_cap: int = DEFAULT_DEGREE_CAP) -> EvenPolynomial:
+def build_threshold_cached(spec: ThresholdSpec) -> EvenPolynomial:
     """Memoized build_threshold; repeated decisions reuse filters."""
-    return _threshold_cache(spec.t1, spec.t2, spec.theta1, spec.theta2,
-                            spec.chi, degree_cap)
+    return build_threshold(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,7 @@ import numpy as np
 
 from .access import SampledVector, SparseMatrix
 from .errors import ConfigError
-from .polynomial import (DEFAULT_DEGREE_CAP, ThresholdSpec,
-                         build_threshold_cached)
+from .polynomial import ThresholdSpec, build_threshold_cached
 from .svt import (EstimateResult, EstimatorConfig, estimate_bilinear,
                   moment_contraction)
 
@@ -104,9 +103,7 @@ class SveResult:
 
 
 def decide_singular_interval(problem: SveProblem, fail_prob: float = 0.01,
-                             seed: int = 0,
-                             degree_cap: int = DEFAULT_DEGREE_CAP,
-                             contraction: str = "exact") -> SveResult:
+                             seed: int = 0, contraction: str = "exact") -> SveResult:
     """Decide HAS_SV / NO_SV for ``problem`` with failure probability
     ``fail_prob`` under the promise.
 
@@ -129,7 +126,7 @@ def decide_singular_interval(problem: SveProblem, fail_prob: float = 0.01,
     if contraction not in _CONTRACTIONS:
         raise ConfigError(f"contraction must be one of {_CONTRACTIONS}, "
                           f"got {contraction!r}")
-    P = build_threshold_cached(problem.threshold_spec(), degree_cap=degree_cap)
+    P = build_threshold_cached(problem.threshold_spec())
     cfg = EstimatorConfig.for_target(problem.eps, fail_prob,
                                      zeta=problem.guide.zeta, seed=seed)
     if contraction == "exact":

@@ -24,8 +24,7 @@ nonzero_complexes = complexes.filter(lambda z: z != 0)
 def matrices(draw):
     nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     cells = st.tuples(st.integers(1, nrows), st.integers(1, ncols))
-    entries = draw(st.dictionaries(cells, nonzero_complexes, min_size=1,
-                                   max_size=12))
+    entries = draw(st.dictionaries(cells, nonzero_complexes, max_size=12))
     return SparseMatrix.from_entries(
         nrows, ncols, [(i, j, z) for (i, j), z in entries.items()])
 
@@ -117,6 +116,19 @@ def test_file_round_trip_is_exact(tmp_path_factory, kind, data):
     text = path.read_text()
     save(path, got)
     assert path.read_text() == text
+
+
+def test_zero_matrix_round_trip(tmp_path):
+    # s = 0 encodes the zero matrix; the file holds only "3 3 0 0"
+    zero = SparseMatrix.from_dense(np.zeros((3, 3)))
+    path = tmp_path / "zero.mat"
+    save_matrix(path, zero)
+    assert path.read_text() == "3 3 0 0\n"
+    got = load_matrix(path)
+    assert _same("matrix", zero, got) and got.s == 0 and got.nnz == 0
+    path.write_text("0 3 0 0\n")
+    with pytest.raises(ParseError, match="dimensions must be positive"):
+        load_matrix(path)
 
 
 def _float_tokens(lines):

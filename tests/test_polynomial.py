@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebinterpolate, chebval
 from numpy.testing import assert_allclose
 
+from svtkit import polynomial
 from svtkit.errors import ConstructionError, ParseError
 from svtkit.polynomial import (EvenPolynomial, OddPolynomial, ThresholdSpec,
                                _clenshaw, _erfinv, _even_interpolant,
@@ -105,9 +106,12 @@ def test_sign_approx_validates_parameters():
         build_sign_approx(0.5, 0.7)
 
 
-def test_sign_approx_cap_raises():
-    with pytest.raises(ConstructionError):
-        build_sign_approx(0.001, 0.001, degree_cap=64)
+def test_sign_approx_cap_raises(monkeypatch):
+    # eta = xi = 0.001 asks for degree about 22000, past DEGREE_CAP; a
+    # lowered cap keeps the failing interpolation small
+    monkeypatch.setattr(polynomial, "DEGREE_CAP", 64)
+    with pytest.raises(ConstructionError, match="degree cap 64"):
+        build_sign_approx(0.001, 0.001)
 
 
 def test_threshold_certifies_on_grid():
@@ -172,14 +176,16 @@ CRITERION_4_SPECS = [ThresholdSpec(t1, t2, th, th, chi)
 SCAN_SPEC = ThresholdSpec(0.5, 0.71875, 0.5, 0.03125, 1 / 12)  # degree 730
 
 
-@pytest.mark.parametrize("spec, cap", [(spec, 512) for spec in CRITERION_4_SPECS]
+@pytest.mark.parametrize("spec, max_degree",
+                         [(spec, 512) for spec in CRITERION_4_SPECS]
                          + [(SCAN_SPEC, 4096)])
-def test_even_interpolant_is_exact_symmetrization(rng, spec, cap):
+def test_even_interpolant_is_exact_symmetrization(rng, spec, max_degree):
     # the interpolant in w = 2x^2 - 1 reproduces (Q(x) + Q(-x)) / (1 + xi)
     # itself, at degree n - 1 for the larger sign-approximation degree n
     xi = spec.chi / 3.0
-    p1 = build_sign_approx(spec.theta1 / 2, xi, degree_cap=cap)
-    p2 = build_sign_approx(spec.theta2 / 2, xi, degree_cap=cap)
+    p1 = build_sign_approx(spec.theta1 / 2, xi)
+    p2 = build_sign_approx(spec.theta2 / 2, xi)
+    assert max(p1.degree, p2.degree) <= max_degree
     cr = _even_interpolant(p1, p2, spec, xi)
     P = EvenPolynomial(cr)
     assert P.degree == max(p1.degree, p2.degree) - 1
@@ -192,6 +198,12 @@ def test_even_interpolant_is_exact_symmetrization(rng, spec, cap):
     assert np.array_equal(cr, chebinterpolate(g, max(p1.degree, p2.degree) // 2))
     xs = rng.uniform(-1, 1, size=2000)
     assert_allclose(P(xs), (q(xs) + q(-xs)) / (1 + xi), rtol=0, atol=1e-12)
+
+
+def test_threshold_is_memoized_on_equal_specs():
+    P = polynomial.build_threshold_cached(ThresholdSpec(0.4, 0.6, 0.2, 0.2, 0.1))
+    assert polynomial.build_threshold_cached(
+        ThresholdSpec(0.4, 0.6, 0.2, 0.2, 0.1)) is P
 
 
 def test_sign_approx_is_memoized_and_read_only():

@@ -127,8 +127,7 @@ def test_norm_above_one_raises_in_both_modes(contraction):
                              t2=0.71875, theta1=0.5, theta2=0.03125, delta=0.5)
         for _ in range(2):
             with pytest.raises(ConfigError, match="exceeds 1"):
-                decide_singular_interval(problem, degree_cap=4096,
-                                         contraction=contraction)
+                decide_singular_interval(problem, contraction=contraction)
 
 
 def test_norm_barely_above_one_passes_exact_mode_only():
@@ -146,15 +145,14 @@ def test_norm_barely_above_one_passes_exact_mode_only():
     A = SparseMatrix.from_dense(np.diag(sigma))
     problem = SveProblem(matrix=A, guide=exact_sampler(u), t1=0.5,
                          t2=0.71875, theta1=0.5, theta2=0.03125, delta=0.5)
-    P = build_threshold_cached(problem.threshold_spec(), degree_cap=4096)
+    P = build_threshold_cached(problem.threshold_spec())
     want = exact_bilinear(np.diag(sigma), P, u, u).real
     for _ in range(2):
-        res = decide_singular_interval(problem, degree_cap=4096)
+        res = decide_singular_interval(problem)
         assert res.degree == 730
         assert abs(res.estimate.real - want) <= 1e-12
         with pytest.raises(ConfigError, match="exceeds 1"):
-            decide_singular_interval(problem, degree_cap=4096,
-                                     contraction="sampled")
+            decide_singular_interval(problem, contraction="sampled")
 
 
 def test_unknown_contraction_is_rejected(rng):

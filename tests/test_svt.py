@@ -248,14 +248,10 @@ LOW_FILTER = ThresholdSpec(0.6, 0.8, 0.1, 0.1, 0.64 / 3)  # degree 182
 GUIDE_CFG = EstimatorConfig.for_target(0.1, 0.01)
 
 
-def _filter(spec):
-    return build_threshold_cached(spec, degree_cap=4096)
-
-
 @pytest.mark.parametrize("spec, degree", [(LOW_FILTER, 182), (FILTER, 270),
                                           (SCAN_FILTER, 730)])
 def test_moment_contraction_matches_oracle(rng, spec, degree):
-    P = _filter(spec)
+    P = build_threshold_cached(spec)
     assert P.degree == degree
     A = random_sparse_matrix(rng, 40, 40, 3)
     u = random_unit_vector(rng, 40)
@@ -271,7 +267,7 @@ def test_interleaved_moment_contractions_are_never_stale(rng):
     As = [random_sparse_matrix(rng, 16, 16, 3) for _ in range(2)]
     us = [random_unit_vector(rng, 16) for _ in range(2)]
     guides = [exact_sampler(u) for u in us]
-    Ps = [_filter(LOW_FILTER), _filter(SCAN_FILTER)]
+    Ps = [build_threshold_cached(spec) for spec in (LOW_FILTER, SCAN_FILTER)]
     exact = {(a, b, c): exact_bilinear(As[a].to_dense(), Ps[c], us[b], us[b]).real
              for a in range(2) for b in range(2) for c in range(2)}
     keys = list(exact) * 3
@@ -289,7 +285,8 @@ def test_interleaved_moment_contractions_are_never_stale(rng):
 def test_moment_contraction_charges_the_same_queries_on_a_hit(rng):
     A = random_sparse_matrix(rng, 16, 16, 3)
     guide = exact_sampler(random_unit_vector(rng, 16))
-    short, long = _filter(LOW_FILTER), _filter(SCAN_FILTER)
+    short = build_threshold_cached(LOW_FILTER)
+    long = build_threshold_cached(SCAN_FILTER)
     svt._last_apply.slot = None
     miss = svt.moment_contraction(A, guide, short, GUIDE_CFG)
     hit = svt.moment_contraction(A, guide, short, GUIDE_CFG)
@@ -305,7 +302,7 @@ def test_moment_contraction_charges_the_same_queries_on_a_hit(rng):
 
 
 def test_threads_keep_separate_moments(rng):
-    P = _filter(SCAN_FILTER)
+    P = build_threshold_cached(SCAN_FILTER)
     jobs = []
     for _ in range(4):  # more threads than the two cores of a small host
         A = random_sparse_matrix(rng, 32, 32, 4)
@@ -357,7 +354,7 @@ def test_svt_entries_returns_a_writable_copy(rng):
 
 
 def test_norm_above_one_raises_config_error(rng):
-    P = build_threshold_cached(SCAN_FILTER, degree_cap=4096)
+    P = build_threshold_cached(SCAN_FILTER)
     assert P.degree == 730
     good = SparseMatrix.from_dense(np.diag([1.0, 0.5, 0.2]))
     bad = SparseMatrix.from_dense(np.diag([1.02, 0.5, 0.2]))
@@ -711,7 +708,7 @@ def test_norm_above_one_raises_on_the_dense_contraction():
     from svtkit.sve import SveProblem, decide_singular_interval
     bad = SparseMatrix.from_dense(np.diag([1.02, 0.5, 0.2]))
     assert isinstance(_contraction(bad)[0], np.ndarray)  # N = 3 is dense
-    P = build_threshold_cached(SCAN_FILTER, degree_cap=4096)
+    P = build_threshold_cached(SCAN_FILTER)
     u = np.ones(3) / np.sqrt(3.0)
     uq = QueryVector(u)
     cfg = EstimatorConfig.for_target(0.25, 0.05, seed=1)
@@ -721,7 +718,7 @@ def test_norm_above_one_raises_on_the_dense_contraction():
              lambda: svt_entries(bad, uq, P, [1, 2, 3]),
              lambda: estimate_bilinear(bad, uq, exact_sampler(u), P, cfg)]
     calls += [lambda mode=mode: decide_singular_interval(
-        problem, degree_cap=4096, contraction=mode) for mode in ("exact", "sampled")]
+        problem, contraction=mode) for mode in ("exact", "sampled")]
     for call in calls:
         svt._last_apply.slot = None
         with pytest.raises(ConfigError, match="exceeds 1"):
