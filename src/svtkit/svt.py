@@ -49,15 +49,32 @@ Randomized layer: one sample draws j from the sampling-access
 distribution of v and takes X_j = w_j m^2 / v_j with
 w = P(sqrt(A^dag A))u.  Its mean sits within 7 zeta of v-dagger w and
 each component has variance at most (1 + 7 zeta)^2.  The estimator
-takes the median over batches of sample means, separately for real and
-imaginary parts.  A batch mean depends on its draws only through how
-often each index was drawn, so each batch is drawn as one multinomial
-histogram over the sampler's support, all batches from one generator
-seeded by the config seed, and its mean is counts @ X / r.
+takes the median over K batches of r sample means, separately for real
+and imaginary parts.  Call a batch failed when the real or the
+imaginary part of its mean is more than (eps - 7 zeta)/sqrt(2) from
+that part of E[X]; by Chebyshev on each part and a union bound this
+happens with probability at most 4 (1 + 7 zeta)^2 / (r (eps - 7 zeta)^2),
+which min_sample_count makes at most 1/4.  Batches are independent, so
+the number of failed batches is stochastically below Bin(K, 1/4).  The
+median of K numbers leaves a window only when at least ceil(K/2) of
+them lie outside it on one side: for odd K the median is the
+((K + 1)/2)-th order statistic, and for even K, where it averages the
+(K/2)-th and the (K/2 + 1)-th, one of those two must leave the window
+on that side.  So when fewer than ceil(K/2) batches fail, the real
+median and the imaginary median both lie in their windows, the
+estimate is within eps - 7 zeta of E[X], and so within eps of
+v-dagger w.  That fails with probability at most
+P[Bin(K, 1/4) >= ceil(K/2)], and min_batch_count takes the smallest K
+that makes this exact tail at most fail_prob (19 at fail_prob 0.01).
+A batch mean depends on its draws only through how often each index
+was drawn, so each batch is drawn as one multinomial histogram over the
+sampler's support, all batches from one generator seeded by the config
+seed, and its mean is counts @ X / r.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import time
@@ -471,9 +488,61 @@ def min_sample_count(eps: float, zeta: float) -> int:
     return math.ceil(16.0 * (1.0 + 7.0 * zeta) ** 2 / (eps - 7.0 * zeta) ** 2)
 
 
+def _median_margins(fail_prob: float):
+    """Yield (K, m) for K = 1, 2, 3, ... with
+    m = den 4^K (fail_prob - P[Bin(K, 1/4) >= ceil(K/2)]), where
+    num / den is fail_prob as its exact binary fraction.
+
+    Integers throughout, so the sign of m decides the comparison exactly.
+    For odd n and g_n = den C(n, (n-1)/2) 3^((n+1)/2), conditioning on the
+    new draws gives m_{n+1} = 4 m_n - g_n (a tie at n + 1 also fails)
+    and m_{n+2} = 16 m_n + 2 g_n (one short and two failures, minus one
+    over and two successes, whose weights are C(n, (n-1)/2) 3^((n+1)/2)
+    and 9 C(n, (n+1)/2) 3^((n-1)/2)).
+    """
+    num, den = float(fail_prob).as_integer_ratio()
+    n, m, g = 1, 4 * num - den, 3 * den
+    while True:
+        yield n, m
+        yield n + 1, 4 * m - g
+        m = 16 * m + 2 * g
+        g = 3 * g * (n + 2) * (n + 1) // (((n + 1) // 2) * ((n + 3) // 2))
+        n += 2
+
+
+@functools.lru_cache(maxsize=64)
 def min_batch_count(fail_prob: float) -> int:
-    """Median repetitions boosting per-batch success 3/4 to 1 - fail_prob."""
-    return max(1, math.ceil(18.0 * math.log(1.0 / fail_prob)))
+    """Smallest batch count K with P[Bin(K, 1/4) >= ceil(K/2)] <= fail_prob,
+    decided in exact integer arithmetic.
+
+    Each batch fails with probability at most 1/4 (min_sample_count), and
+    the median estimate can be wrong only when at least ceil(K/2) of the
+    K independent batches fail (the module docstring has the argument,
+    for both parities and for the separate real and imaginary medians).
+    So this K meets fail_prob: 19 batches at 0.01.  K is odd: an even K
+    has the same threshold as K - 1 plus one more draw that can only add
+    failures, so it is never better.  Over odd K the tail strictly
+    falls, since p^2 P[X_K = (K-1)/2] < (1 - p)^2 P[X_K = (K+1)/2] for
+    p = 1/4 < 1/2, and the scan returns the first K that passes.  It
+    takes about ln(1/fail_prob) / ln(4/3) steps; results are memoized.
+    """
+    if not 0.0 < fail_prob < 1.0:
+        raise ConfigError("fail_prob must lie in (0, 1)")
+    return next(k for k, m in _median_margins(fail_prob) if m >= 0)
+
+
+@functools.lru_cache(maxsize=64)
+def _batches_meet(batches: int, fail_prob: float) -> bool:
+    """Whether P[Bin(batches, 1/4) >= ceil(batches/2)] <= fail_prob.
+
+    From 8 ln(1/fail_prob) + 1 batches up, Hoeffding's exp(-batches / 8)
+    bound already holds (the + 1 absorbs the rounding of the log), so the
+    exact scan runs at most about 6,000 steps, even at the smallest
+    positive fail_prob.
+    """
+    if batches >= 8.0 * -math.log(fail_prob) + 1.0:
+        return True
+    return next(m for k, m in _median_margins(fail_prob) if k == batches) >= 0
 
 
 @dataclass(frozen=True)
@@ -482,7 +551,9 @@ class EstimatorConfig:
 
     ``samples`` is the per-batch count r, ``batches`` the median
     repetitions K; both must clear the bounds implied by (eps, zeta,
-    fail_prob).
+    fail_prob), which estimate_bilinear checks:
+    r >= min_sample_count(eps, zeta) and
+    P[Bin(K, 1/4) >= ceil(K/2)] <= fail_prob.
     """
 
     eps: float
@@ -568,6 +639,11 @@ def _validate_estimate_inputs(A, u, v, P, cfg):
         raise ConfigError(
             f"config has r={cfg.samples} samples, need at least "
             f"{min_sample_count(cfg.eps, v.zeta)}")
+    if not _batches_meet(cfg.batches, cfg.fail_prob):
+        raise ConfigError(
+            f"config has K={cfg.batches} batches, whose median fails with "
+            f"probability above fail_prob={cfg.fail_prob}; "
+            f"{min_batch_count(cfg.fail_prob)} batches suffice")
     if u.norm() > 1.0 + 1e-9 or v.base.norm() > 1.0 + 1e-9:
         raise ConfigError("vectors must have norm at most 1")
     xs = np.linspace(-1.0, 1.0, 1001)

@@ -1,9 +1,12 @@
+import math
 import sys
 import threading
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -15,8 +18,8 @@ from svtkit.polynomial import EvenPolynomial, ThresholdSpec, build_threshold_cac
 from svtkit.rand import (random_even_polynomial, random_sparse_matrix,
                          random_unit_vector)
 from svtkit.svt import (EstimatorConfig, QueryCounter, _contraction, chain_entry,
-                        estimate_bilinear, min_sample_count, sample_values,
-                        svt_entry, svt_entries)
+                        estimate_bilinear, min_batch_count, min_sample_count,
+                        sample_values, svt_entry, svt_entries)
 
 ONE = EvenPolynomial.from_even_coeffs([1.0])
 SQUARE = EvenPolynomial.from_even_coeffs([0.0, 1.0])
@@ -485,11 +488,77 @@ def test_min_sample_count_formula():
 def test_estimator_config_validation():
     cfg = EstimatorConfig.for_target(0.1, 0.01)
     assert cfg.samples == 1600
-    assert cfg.batches == 83
+    assert cfg.batches == 19
     with pytest.raises(ConfigError):
         EstimatorConfig.for_target(0.1, 0.01, zeta=0.02)  # zeta > eps/8
     with pytest.raises(ConfigError):
         EstimatorConfig(eps=2.0, fail_prob=0.1, samples=10, batches=3)
+
+
+def _median_tail(k):
+    """P[Bin(k, 1/4) >= ceil(k/2)] as an exact fraction: the sum over
+    j >= ceil(k/2) of C(k, j) 3^(k-j) / 4^k, from j = k down."""
+    total, term = 0, 1
+    for j in range(k, (k + 1) // 2 - 1, -1):
+        total += term
+        term = term * 3 * j // (k - j + 1)
+    return Fraction(total, 4 ** k)
+
+
+@pytest.mark.parametrize("fail_prob, batches", [
+    (0.3, 1), (0.25, 1), (0.15625, 3), (0.1, 7), (0.05, 9), (0.02, 15),
+    (0.01, 19), (0.0125, 17), (0.001, 33)])
+def test_min_batch_count_table(fail_prob, batches):
+    assert min_batch_count(fail_prob) == batches
+
+
+@settings(max_examples=60, deadline=None)
+@given(fail_prob=st.one_of(
+    st.floats(1e-300, 1.0, exclude_max=True),
+    st.floats(-300.0, -1e-3).map(lambda e: 10.0 ** e)))
+def test_min_batch_count_is_the_smallest_passing_odd_count(fail_prob):
+    k = min_batch_count(fail_prob)
+    assert k % 2 == 1
+    assert _median_tail(k) <= Fraction(fail_prob)
+    assert k == 1 or _median_tail(k - 2) > Fraction(fail_prob)
+    # never above the Chernoff-style count ceil(18 ln(1/fail_prob))
+    assert k <= max(1, math.ceil(18.0 * math.log(1.0 / fail_prob)))
+
+
+def test_batch_rule_is_fast_at_tiny_fail_prob():
+    min_batch_count.cache_clear()
+    t0 = time.perf_counter()
+    k = min_batch_count(1e-300)
+    assert svt._batches_meet(10**9, 1e-300)
+    assert time.perf_counter() - t0 < 0.1
+    assert k == 4771
+
+
+@settings(max_examples=100, deadline=None)
+@given(batches=st.integers(1, 300), scale=st.floats(0.5, 2.0))
+@example(batches=1, scale=1.0)  # tails 1/4, 7/16, 10/64 are exact floats
+@example(batches=2, scale=1.0)
+@example(batches=3, scale=1.0)
+def test_batch_check_matches_the_exact_tail(batches, scale):
+    fail_prob = min(float(_median_tail(batches)) * scale, 0.99)
+    assert svt._batches_meet(batches, fail_prob) == (
+        _median_tail(batches) <= Fraction(fail_prob))
+
+
+@pytest.mark.parametrize("batches", [1, 20])
+def test_estimate_rejects_too_few_batches(rng, batches):
+    # P[Bin(20, 1/4) >= 10] = 0.0139: an even count above the minimum of 19
+    # can still miss fail_prob = 0.01
+    A = random_sparse_matrix(rng, 8, 8, 2)
+    u = QueryVector(random_unit_vector(rng, 8))
+    v = exact_sampler(random_unit_vector(rng, 8))
+    cfg = EstimatorConfig(eps=0.1, fail_prob=0.01, samples=1600,
+                          batches=batches)
+    with pytest.raises(ConfigError, match="batches"):
+        estimate_bilinear(A, u, v, ONE, cfg)
+    estimate_bilinear(A, u, v, ONE,
+                      EstimatorConfig(eps=0.1, fail_prob=0.01, samples=1600,
+                                      batches=19))
 
 
 def test_estimate_deterministic_case(rng):
