@@ -236,13 +236,15 @@ class SparseMatrix:
     def csr(self):
         """The matrix as a scipy csr_matrix over the same read-only arrays
         (shared, do not mutate), built and cached on the first call, which
-        imports scipy.sparse.  In svtkit only sparse contractions, Lanczos
-        and ``kitaev.build_terms`` call it."""
+        imports scipy.sparse.  In svtkit only a pass that forms a sparse
+        S = 2 A-dagger A - I (one longer than ``svt.SHORT_PASS`` steps on
+        a matrix too large or too sparse for a dense S), Lanczos and
+        ``kitaev.build_terms`` call it; short passes read ``csr_arrays()``."""
         return self._scipy_csr
 
     @cached_property
     def _scipy_csr(self):
-        import scipy.sparse as sp  # only csr() and sparse contractions need it
+        import scipy.sparse as sp  # only csr() needs it
 
         return sp.csr_matrix((self._data, self._indices, self._indptr),
                              shape=self._shape)

@@ -91,6 +91,7 @@ def _cmd_estimate(args) -> int:
     rep.add("total_samples", res.total_samples)
     rep.add("unique_entries", res.unique_indices)
     rep.add("degree", res.degree)
+    rep.add("operator", res.operator)
     rep.add("row_fetches", res.counter.row_fetches)
     rep.add("entry_probes", res.counter.entry_probes)
     rep.add("value_re", res.value.real)

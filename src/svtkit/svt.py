@@ -25,16 +25,23 @@ from the Chebyshev moments mu_r = u-dagger T_r(S) u as sum_r c_r mu_r
 a degree-D filter from ceil(D/4) matvecs in O(N) memory, and one set
 of moments serves every filter on the same (A, u).
 
-S is a dense array when A is small and its rows share enough columns,
-and a scipy CSR matrix otherwise (``_contraction`` holds the one rule
-and its measured trade-off).  Both hold the same values, so nnz(S), which
-the query counters charge, is the same either way; S @ x differs in
-rounding only.
+A pass of at most SHORT_PASS steps applies S matrix-free: each step
+computes y = A x and then S x = 2 A-dagger y - x straight from A's CSR
+arrays, so S is never formed and scipy is never imported.  A longer
+pass forms S once, as a dense array when A is small and its rows share
+enough columns, and as a scipy CSR matrix otherwise (``_contraction``
+holds both rules and their measured trade-offs).  A formed S holds the
+same values either way, so nnz(S), which such a pass charges per step,
+is the same; S @ x differs in rounding only.  A matrix-free step
+charges every row and every column of A once: nrows + ncols row
+fetches and 2 nnz(A) entry probes.
 
-Each thread keeps one slot (A, (S, nnz(S)), apply, moments), keyed on
-object identity: a call with the same A reuses S; apply = (u, P, w) is the
-last Chebyshev apply, returned (read-only) for the same u array and P;
-moments = (u, mu) is the last moment pass, returned for the same u
+Each thread keeps one slot (A, contraction, apply, moments), keyed on
+object identity: a call with the same A reuses its contraction, a
+formed S for any pass and a matrix-free one for short passes (a long
+pass on a matrix-free slot forms S in its place); apply = (u, P, w) is
+the last Chebyshev apply, returned (read-only) for the same u array and
+P; moments = (u, mu) is the last moment pass, returned for the same u
 array when it is long enough for the filter and recomputed at the new
 length otherwise.  So reading several entries of one vector costs one
 apply, and deciding several filters against one guide costs one
@@ -42,8 +49,9 @@ moment pass.  The slot never holds two contractions.  Its strong
 references keep those ids from being reused, and the key objects are
 immutable.  Beyond the inputs it keeps alive it holds at most
 (N + 1)^2 + N + D/2 numbers per thread for a dense S (stored with one
-padding row and column), nnz(S) + N + D/2 for a sparse one.  Query
-counts are charged on every call, cache hit or not.
+padding row and column), nnz(S) + N + D/2 for a sparse one and at most
+5 nnz(A) + 2 nrows + N + D/2 for a matrix-free one.  Query counts are
+charged on every call, cache hit or not.
 
 Randomized layer: one sample draws j from the sampling-access
 distribution of v and takes X_j = w_j m^2 / v_j with
@@ -188,44 +196,108 @@ def chain_entry(matrices, u: QueryVector, i: int, memo: bool = True,
     return complex(value(len(matrices), i - 1))
 
 
-# S is dense when A is small and its rows share enough columns.  On one
-# core a dense matvec costs the same at any fill (1.4, 3.8 and 13 us at
-# N = 64, 128 and 256), while a CSR matvec grows with nnz(S): dense wins at
-# every fill at N = 64, above about 10 % fill at N = 128 and 19 % at
-# N = 256, and building a dense S costs about what scipy's sparse product
-# does.  The rule reads the pair density sum_i L_i^2 / N^2 (L_i the
-# nonzeros in row i of A), the work of forming S and a bound on its fill.
-# Its 1/16 keeps every glh Hamiltonian up to n = 8 dense: a dense 2-local
-# term puts 4 nonzeros in every row, so the density is at least 16 / N
-# (0.25-2.6 on most, 1/16 when all terms share one qubit pair); every sve
-# matrix (0.23-0.25) is dense too, and the estimate and entry matrices
-# (at most 0.033) stay sparse.  At n = 8, S is often only 2-19 % full,
-# where the dense matvec is up to 5x slower; not importing scipy.sparse
-# (20 MB, 0.2 s) into those processes pays for it.
+# A pass of at most SHORT_PASS steps never forms S.  The crossover is the
+# formation time, less building the matrix-free operator, over the extra
+# time of a matrix-free step (one thread, a fresh A each pass): scipy's
+# sparse S at N = 256 (s = 2 and 4) takes 0.38-0.52 ms to form and
+# 6-10 us a step, against 13-21 us matrix-free, so skipping it wins up to
+# 40-49 steps; a dense S at N = 64 (random s = 4 and a planted sve matrix)
+# takes 0.10-0.14 ms and 2.5-3.9 us a step, against 8-13 us, so up to
+# 9-15 steps.  16 sits at the dense end: up to it a matrix-free pass is
+# at most about 0.07 ms slower than forming a dense S, and past it a
+# sparse S formed for a pass of 17-45 steps at most about 0.3 ms slower
+# than skipping it.  Estimate filters have degree 2-12 (1-6 steps); sve
+# and glh passes run 45 steps or more and the entry filter's 93, so the
+# rule sends each workload's passes to one engine.
+SHORT_PASS = 16
+
+# A formed S is dense when A is small and its rows share enough columns.
+# On one core a dense matvec costs the same at any fill (1.4, 3.8 and 13
+# us at N = 64, 128 and 256), while a CSR matvec grows with nnz(S): dense
+# wins at every fill at N = 64, above about 10 % fill at N = 128 and 19 %
+# at N = 256, and building a dense S costs about what scipy's sparse
+# product does.  The rule reads the pair density sum_i L_i^2 / N^2 (L_i
+# the nonzeros in row i of A), the work of forming S and a bound on its
+# fill.  Its 1/16 keeps every glh Hamiltonian up to n = 8 dense: a dense
+# 2-local term puts 4 nonzeros in every row, so the density is at least
+# 16 / N (0.25-2.6 on most, 1/16 when all terms share one qubit pair);
+# every sve matrix (0.23-0.25) is dense too, and the N = 256 matrices of
+# the entry filter (at most 0.033) form a sparse S.  At n = 8, S is often
+# only 2-19 % full, where the dense matvec is up to 5x slower; not
+# importing scipy.sparse (20 MB, 0.2 s) into those processes pays for it.
 DENSE_MAX_N = 256
 DENSE_MIN_PAIR_DENSITY = 1 / 16
 PAIR_BLOCK = 1 << 16
 
 
-def _contraction(A: SparseMatrix) -> tuple:
-    """(S, nnz(S)) for S = 2 A-dagger A - I, Hermitian with spectrum in
-    [-1, 1] when ||A|| <= 1.
+class _MatrixFree:
+    """S = 2 A-dagger A - I as an operator that is never formed.
 
-    S is a dense array when N <= DENSE_MAX_N and sum_i L_i^2 >=
-    DENSE_MIN_PAIR_DENSITY N^2, and a scipy CSR matrix otherwise (scipy
-    imported here on first use).  Either way nnz(S) counts the nonzero
-    entries of the same values, and the query counters charge it.
+    ``S @ x`` computes y = A x with np.add.reduceat over the rows of A's
+    CSR arrays, then 2 A-dagger y - x with np.bincount over its column
+    indices, so neither the column index nor scipy is touched.  The sums
+    run in another order than a formed S's, so S @ x differs from it in
+    rounding only.
     """
+
+    def __init__(self, A: SparseMatrix):
+        indptr, indices, data = A.csr_arrays()
+        length = np.diff(indptr)
+        nonempty = length > 0
+        # reduceat yields the entry at a segment's start, not 0, for an
+        # empty segment (and fails on a start past the end), so it runs
+        # over the nonempty rows only and scatters them back
+        self._nonempty = None if nonempty.all() else nonempty
+        self._starts = indptr[:-1][nonempty]
+        self._cols = indices
+        self._data = np.asarray(data, dtype=complex)
+        self._conj2 = 2.0 * self._data.conj()
+        self._rows = np.repeat(np.arange(A.nrows), length)
+        # the real and imaginary parts of column j sum into slots 2j, 2j + 1
+        self._keys = (2 * indices.astype(np.intp)[:, None] + np.arange(2)).ravel()
+        self._nrows, self._ncols = A.nrows, A.ncols
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        prod = self._data * x[self._cols]
+        if self._nonempty is None:
+            y = np.add.reduceat(prod, self._starts)
+        else:
+            y = np.zeros(self._nrows, dtype=complex)
+            y[self._nonempty] = np.add.reduceat(prod, self._starts)
+        back = self._conj2 * y[self._rows]
+        # with no weights at all (A = 0) bincount counts in integers
+        z = np.bincount(self._keys, back.view(float), 2 * self._ncols)
+        z = z.astype(float, copy=False).view(complex)
+        z -= x
+        return z
+
+
+def _contraction(A: SparseMatrix, steps: int) -> tuple:
+    """(S, row fetches, entry probes) for S = 2 A-dagger A - I, Hermitian
+    with spectrum in [-1, 1] when ||A|| <= 1, and the queries one step of
+    a pass with it charges.
+
+    A pass of at most SHORT_PASS ``steps`` gets the matrix-free S, which
+    reads every row and every column of A once a step: nrows + ncols
+    fetches and 2 nnz(A) probes.  A longer one forms S, charging N
+    fetches and nnz(S) probes a step: a dense array when N <= DENSE_MAX_N
+    and sum_i L_i^2 >= DENSE_MIN_PAIR_DENSITY N^2, and a scipy CSR matrix
+    otherwise (scipy imported here on first use).  Either way nnz(S)
+    counts the nonzero entries of the same values.
+    """
+    if steps <= SHORT_PASS:
+        return _MatrixFree(A), A.nrows + A.ncols, 2 * A.nnz
     n = A.ncols
     length = np.diff(A.csr_arrays()[0]).astype(np.int64)
     if n <= DENSE_MAX_N and n * n <= np.dot(length, length) / DENSE_MIN_PAIR_DENSITY:
-        return _dense_contraction(A)
-    import scipy.sparse as sp  # only sparse contractions need it
+        S, nnz = _dense_contraction(A)
+        return S, n, nnz
+    import scipy.sparse as sp  # only long passes on sparse matrices need it
 
     csr = A.csr()
     gram = (csr.conj().T @ csr).tocsr()
     S = (2.0 * gram - sp.identity(n, dtype=complex, format="csr")).tocsr()
-    return S, S.nnz
+    return S, n, S.nnz
 
 
 def _dense_contraction(A: SparseMatrix) -> tuple:
@@ -266,16 +338,32 @@ def _dense_contraction(A: SparseMatrix) -> tuple:
     return S, int(np.count_nonzero(S != 0))
 
 
-def _slot_for(A: SparseMatrix) -> tuple:
-    """This thread's slot (A, (S, nnz(S)), apply, moments) when A is its
-    matrix; otherwise the slot is cleared, so that it never holds two
-    contractions, and a fresh (A, (S, nnz(S)), None, None) is returned
-    unstored."""
+def _slot_for(A: SparseMatrix, steps: int) -> tuple:
+    """This thread's slot (A, contraction, apply, moments) for a pass of
+    ``steps`` steps, contraction = (S, row fetches, entry probes) from
+    ``_contraction``.
+
+    When A is the slot's matrix its contraction is reused, unless it is
+    matrix-free and the pass is longer than SHORT_PASS: then S is formed
+    and returned in its place, with the slot's apply and moments,
+    unstored.  Otherwise the slot is cleared, so that it never holds two
+    contractions, and a fresh (A, contraction, None, None) is returned
+    unstored.
+    """
     slot = getattr(_last_apply, "slot", None)
-    if slot is not None and slot[0] is A:
-        return slot
-    _last_apply.slot = None
-    return (A, _contraction(A), None, None)
+    if slot is None or slot[0] is not A:
+        _last_apply.slot = None
+        return (A, _contraction(A, steps), None, None)
+    if steps > SHORT_PASS and isinstance(slot[1][0], _MatrixFree):
+        return (A, _contraction(A, steps)) + slot[2:]
+    return slot
+
+
+def _charge(counter: QueryCounter | None, contraction: tuple, steps: int):
+    if counter is not None:
+        _, fetches, probes = contraction
+        counter.row_fetches += steps * fetches
+        counter.entry_probes += steps * probes
 
 
 def _cheb_apply(A: SparseMatrix, u_arr: np.ndarray, P: EvenPolynomial,
@@ -283,22 +371,20 @@ def _cheb_apply(A: SparseMatrix, u_arr: np.ndarray, P: EvenPolynomial,
     """P(sqrt(A-dagger A)) u via the T_r(2 A-dagger A - I) recurrence.
 
     The result is read-only.  This thread's slot keeps (u_arr, P, w)
-    from the last successful call: the same A object reuses S, and the
-    same A, u_arr and P objects return the stored w.  Otherwise the
-    recurrence runs and replaces the slot's apply; a call that raises
-    stores nothing.  Raises ConfigError when some ||T_r(S) u||^2 exceeds
-    (1 + NORM_TOLERANCE) ||u||^2, which means ||A|| > 1.
+    from the last successful call: the same A object reuses its
+    contraction, and the same A, u_arr and P objects return the stored
+    w.  Otherwise the recurrence runs and replaces the slot's apply; a
+    call that raises stores nothing.  Each call charges the degree // 2
+    steps of the pass, hit or miss.  Raises ConfigError when some
+    ||T_r(S) u||^2 exceeds (1 + NORM_TOLERANCE) ||u||^2, which means
+    ||A|| > 1.
     """
-    _, contraction, apply, moments = _slot_for(A)
-    S, nnz = contraction
     steps = P.degree // 2
-    if counter is not None:
-        # each recurrence step reads every nonzero entry of S once
-        counter.row_fetches += steps * S.shape[0]
-        counter.entry_probes += steps * nnz
+    _, contraction, apply, moments = _slot_for(A, steps)
+    _charge(counter, contraction, steps)
     if apply is not None and apply[0] is u_arr and apply[1] is P:
         return apply[2]
-    w = _recurrence(S, u_arr, P.cheb_even())
+    w = _recurrence(contraction[0], u_arr, P.cheb_even())
     w.flags.writeable = False
     _last_apply.slot = (A, contraction, (u_arr, P, w), moments)
     return w
@@ -309,25 +395,29 @@ def _moments(A: SparseMatrix, u_arr: np.ndarray, count: int,
     """The Chebyshev moments mu_r = u-dagger T_r(S) u for r < count.
 
     Returns them read-only.  This thread's slot keeps (u_arr, mu) from
-    the last successful call: the same A reuses S, and the same A and
-    u_arr objects return the first ``count`` stored moments unless
-    ``count`` exceeds them, when the pass runs again at the new length.
-    Each call charges the pass's count // 2 matvecs, hit or miss.
-    Raises ConfigError, storing nothing, when ||A|| > 1 shows in the
-    moments.
+    the last successful call: the same A reuses its contraction, and the
+    same A and u_arr objects return the first ``count`` stored moments
+    unless ``count`` exceeds them, when the pass runs again at the new
+    length.  Each call charges the pass's count // 2 matvecs, hit or
+    miss.  Raises ConfigError, storing nothing, when ||A|| > 1 shows in
+    the moments.
     """
-    _, contraction, apply, moments = _slot_for(A)
-    S, nnz = contraction
     steps = count // 2
-    if counter is not None:
-        counter.row_fetches += steps * S.shape[0]
-        counter.entry_probes += steps * nnz
+    _, contraction, apply, moments = _slot_for(A, steps)
+    _charge(counter, contraction, steps)
     if moments is not None and moments[0] is u_arr and moments[1].size >= count:
         return moments[1][:count]
-    mu = _moment_pass(S, u_arr, count)
+    mu = _moment_pass(contraction[0], u_arr, count)
     mu.flags.writeable = False
     _last_apply.slot = (A, contraction, apply, (u_arr, mu))
     return mu
+
+
+def _operator() -> str:
+    """How the last successful apply or moment pass in this thread
+    applied S, read from the slot it left: "matrix_free" or "formed"."""
+    S = _last_apply.slot[1][0]
+    return "matrix_free" if isinstance(S, _MatrixFree) else "formed"
 
 
 def _moment_pass(S, u_arr: np.ndarray, count: int) -> np.ndarray:
@@ -590,6 +680,7 @@ class EstimateResult:
     total_samples: int
     unique_indices: int
     degree: int
+    operator: str  # "matrix_free" or "formed": how S was applied
     counter: QueryCounter = field(default_factory=QueryCounter)
     elapsed_s: float = 0.0
 
@@ -676,7 +767,8 @@ def estimate_bilinear(A: SparseMatrix, u: QueryVector, v: SampledVector,
         value=z, eps=cfg.eps, fail_prob=cfg.fail_prob, samples=cfg.samples,
         batches=cfg.batches, total_samples=cfg.batches * cfg.samples,
         unique_indices=int(np.count_nonzero(hit)), degree=P.degree,
-        counter=counter, elapsed_s=time.perf_counter() - t0)
+        operator=_operator(), counter=counter,
+        elapsed_s=time.perf_counter() - t0)
 
 
 def moment_contraction(A: SparseMatrix, v: SampledVector, P: EvenPolynomial,
@@ -707,4 +799,5 @@ def moment_contraction(A: SparseMatrix, v: SampledVector, P: EvenPolynomial,
     return EstimateResult(
         value=complex(cr @ mu), eps=cfg.eps, fail_prob=cfg.fail_prob,
         samples=0, batches=0, total_samples=0, unique_indices=0,
-        degree=P.degree, counter=counter, elapsed_s=time.perf_counter() - t0)
+        degree=P.degree, operator=_operator(), counter=counter,
+        elapsed_s=time.perf_counter() - t0)

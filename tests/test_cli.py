@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svtkit import cli
+from svtkit import cli, svt
 from svtkit.access import save_matrix, save_vector
 from svtkit.hamiltonian import load_hamiltonian
 from svtkit.kitaev import GATES, Circuit, Gate, save_circuit
@@ -61,6 +61,20 @@ def test_estimate_deterministic_reports(capsys, estimate_files, tmp_path):
     code2, out2, _ = run_cli(capsys, *argv)
     assert code1 == code2 == 0
     assert strip_timing(out1) == strip_timing(out2)
+
+
+def test_estimate_report_names_the_operator(capsys, estimate_files, tmp_path):
+    paths, _, _ = estimate_files
+    long_poly = tmp_path / "long.poly"
+    # T_k(2x^2 - 1) with k = SHORT_PASS + 1: one step past the matrix-free passes
+    save_polynomial(long_poly, EvenPolynomial([0.0] * (svt.SHORT_PASS + 1) + [1.0]))
+    for poly, operator in ((paths["poly"], "matrix_free"), (long_poly, "formed")):
+        code, out, _ = run_cli(
+            capsys, "estimate", "--matrix", str(paths["matrix"]), "--u",
+            str(paths["u"]), "--v", str(paths["v"]), "--poly", str(poly),
+            "--eps", "0.3", "--seed", "2")
+        assert code == 0
+        assert f"operator={operator}" in out.splitlines()
 
 
 def test_estimate_report_file(capsys, estimate_files, tmp_path):

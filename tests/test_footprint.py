@@ -1,8 +1,11 @@
 """What importing and running svtkit loads, each check in a fresh interpreter.
 
-scipy.sparse (about 20 MB and 0.2 s to import) is loaded only by sparse
-contractions, by ``SparseMatrix.csr()`` and by Lanczos; these tests pin
-the density rule of ``svt._contraction`` from both sides.
+scipy.sparse (about 20 MB and 0.2 s to import) is loaded only by long
+passes (more than ``svt.SHORT_PASS`` steps) on matrices too large or too
+sparse for a dense S, by ``SparseMatrix.csr()`` and by Lanczos.  Short
+passes apply S matrix-free and never form it.  These tests pin the
+pass-length rule and the density rule of ``svt._contraction`` from both
+sides.
 """
 
 import os
@@ -65,9 +68,10 @@ def test_ground_energy_estimate_leaves_scipy_sparse_unloaded(n, support):
         "print(estimate_ground_energy(problem).value)")
 
 
-def test_sparse_bilinear_estimate_loads_scipy_sparse():
-    # N = 256 with s = 4: sum_i L_i^2 is about 0.03 N^2, far below the rule
-    assert _loads_scipy_sparse(
+def test_sparse_bilinear_estimate_leaves_scipy_sparse_unloaded():
+    # N = 256 with s = 4, the estimate workload's matrices: their S would be
+    # sparse, but a degree-6 filter is a 3-step pass, which never forms it
+    assert not _loads_scipy_sparse(
         "from svtkit.access import QueryVector, exact_sampler\n"
         "from svtkit.rand import random_even_polynomial, random_sparse_matrix, random_unit_vector\n"
         "from svtkit.svt import EstimatorConfig, estimate_bilinear\n"
@@ -76,4 +80,21 @@ def test_sparse_bilinear_estimate_loads_scipy_sparse():
         "u, v = random_unit_vector(rng, 256), random_unit_vector(rng, 256)\n"
         "P = random_even_polynomial(rng, 3)\n"
         "cfg = EstimatorConfig.for_target(0.1, 0.01, seed=1)\n"
-        "print(estimate_bilinear(A, QueryVector(u), exact_sampler(v), P, cfg).value)")
+        "res = estimate_bilinear(A, QueryVector(u), exact_sampler(v), P, cfg)\n"
+        "assert res.operator == 'matrix_free'")
+
+
+def test_long_sparse_pass_loads_scipy_sparse():
+    # the entry workload's degree-186 filter, a 93-step pass, on an N = 256,
+    # s = 4 matrix: sum_i L_i^2 is about 0.03 N^2, far below the density rule
+    assert _loads_scipy_sparse(
+        "from svtkit.access import QueryVector\n"
+        "from svtkit.polynomial import ThresholdSpec, build_threshold\n"
+        "from svtkit.rand import random_sparse_matrix, random_unit_vector\n"
+        "from svtkit.svt import svt_entries\n"
+        "rng = np.random.default_rng(3)\n"
+        "A = random_sparse_matrix(rng, 256, 256, 4)\n"
+        "u = QueryVector(random_unit_vector(rng, 256))\n"
+        "P = build_threshold(ThresholdSpec(0.5, 0.7, 0.1, 0.1, 0.2))\n"
+        "assert P.degree == 186\n"
+        "print(svt_entries(A, u, P, [1, 2, 3]))")

@@ -165,7 +165,7 @@ def test_cheb_entry_is_bitwise_one_recurrence(rng):
     A = random_sparse_matrix(rng, 20, 20, 3)
     u = QueryVector(random_unit_vector(rng, 20))
     P = build_threshold_cached(FILTER)
-    (S, _), cr = _contraction(A), P.cheb_even()
+    S, cr = _contraction(A, P.degree // 2)[0], P.cheb_even()
     prev, cur = u.dense(), S @ u.dense()
     fresh = cr[0] * prev + cr[1] * cur
     for r in range(2, cr.size):
@@ -263,7 +263,7 @@ def test_moment_contraction_matches_oracle(rng, spec, degree):
     assert res.value.imag == 0.0 and res.degree == degree
     assert res.total_samples == 0
     steps = -(-degree // 4)
-    assert res.counter == QueryCounter(steps * 40, steps * _contraction(A)[1])
+    assert res.counter == QueryCounter(steps * 40, steps * _contraction(A, steps)[2])
 
 
 def test_interleaved_moment_contractions_are_never_stale(rng):
@@ -727,7 +727,7 @@ def _contraction_cases(rng):
 def test_dense_and_sparse_contractions_agree(rng):
     P = build_threshold_cached(FILTER)
     for A, dense in _contraction_cases(rng):
-        S, nnz = _contraction(A)
+        S, _, nnz = _contraction(A, P.degree // 2)
         assert isinstance(S, np.ndarray) == dense
         ref = _scipy_contraction(A)
         assert nnz == ref.nnz
@@ -776,7 +776,7 @@ def test_dense_contraction_in_row_blocks(rng, monkeypatch):
 def test_norm_above_one_raises_on_the_dense_contraction():
     from svtkit.sve import SveProblem, decide_singular_interval
     bad = SparseMatrix.from_dense(np.diag([1.02, 0.5, 0.2]))
-    assert isinstance(_contraction(bad)[0], np.ndarray)  # N = 3 is dense
+    assert isinstance(_contraction(bad, 365)[0], np.ndarray)  # N = 3 is dense
     P = build_threshold_cached(SCAN_FILTER)
     u = np.ones(3) / np.sqrt(3.0)
     uq = QueryVector(u)
@@ -792,3 +792,130 @@ def test_norm_above_one_raises_on_the_dense_contraction():
         svt._last_apply.slot = None
         with pytest.raises(ConfigError, match="exceeds 1"):
             call()
+
+
+def _free_case(seed, nrows, ncols, fill, empty_row, empty_col):
+    """A random complex A, scaled to spectral norm 0.9 unless it is zero,
+    with row 1 and column 1 emptied on request."""
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(size=(nrows, ncols)) + 1j * rng.normal(size=(nrows, ncols))
+    dense[rng.random((nrows, ncols)) >= fill] = 0
+    dense[:int(empty_row)] = 0
+    dense[:, :int(empty_col)] = 0
+    if dense.any():
+        dense *= 0.9 / np.linalg.norm(dense, 2)
+    return SparseMatrix.from_dense(dense), rng
+
+
+def _formed(kind):
+    """Patches that make every pass form S: dense (for any nonzero A), or
+    scipy's sparse one."""
+    from unittest import mock
+    patches = [mock.patch.object(svt, "SHORT_PASS", -1)]
+    if kind == "dense":
+        patches.append(mock.patch.object(svt, "DENSE_MIN_PAIR_DENSITY", 1e-300))
+    else:
+        patches.append(mock.patch.object(svt, "DENSE_MAX_N", 0))
+    return patches
+
+
+def _with(patches, call):
+    svt._last_apply.slot = None
+    for p in patches:
+        p.start()
+    try:
+        return call()
+    finally:
+        for p in patches:
+            p.stop()
+        svt._last_apply.slot = None
+
+
+FREE_CASES = dict(seed=st.integers(0, 2**32 - 1), nrows=st.integers(1, 12),
+                  ncols=st.integers(1, 12), fill=st.floats(0.0, 1.0),
+                  empty_row=st.booleans(), empty_col=st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(**FREE_CASES)
+@example(seed=0, nrows=1, ncols=1, fill=1.0, empty_row=False, empty_col=False)
+@example(seed=0, nrows=5, ncols=3, fill=0.0, empty_row=False, empty_col=False)
+@example(seed=1, nrows=7, ncols=4, fill=0.8, empty_row=True, empty_col=True)
+def test_matrix_free_s_matches_formed_s(seed, nrows, ncols, fill, empty_row,
+                                        empty_col):
+    A, rng = _free_case(seed, nrows, ncols, fill, empty_row, empty_col)
+    x = rng.normal(size=ncols) + 1j * rng.normal(size=ncols)
+    dense = A.to_dense()
+    exact = 2.0 * (dense.conj().T @ (dense @ x)) - x
+    got = svt._MatrixFree(A) @ x
+    tol = 1e-12 * np.linalg.norm(x)  # ||S|| <= 1
+    for S in (svt._dense_contraction(A)[0], _scipy_contraction(A), None):
+        ref = exact if S is None else S @ x
+        assert np.abs(got - ref).max() <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(**FREE_CASES, d=st.integers(0, 8))
+@example(seed=0, nrows=1, ncols=1, fill=1.0, empty_row=False, empty_col=False, d=3)
+@example(seed=0, nrows=4, ncols=6, fill=0.0, empty_row=False, empty_col=False, d=2)
+@example(seed=2, nrows=9, ncols=5, fill=0.7, empty_row=True, empty_col=True, d=0)
+def test_short_pass_values_match_formed_and_oracle(seed, nrows, ncols, fill,
+                                                   empty_row, empty_col, d):
+    # d <= 8 keeps every pass at most SHORT_PASS steps, matrix-free
+    A, rng = _free_case(seed, nrows, ncols, fill, empty_row, empty_col)
+    u, v = random_unit_vector(rng, ncols), random_unit_vector(rng, ncols)
+    P = random_even_polynomial(rng, d)
+    uq, vs = QueryVector(u), exact_sampler(v)
+    idx = np.arange(1, ncols + 1)
+    cfg = EstimatorConfig.for_target(0.5, 0.1, seed=seed % 1000)
+    # the recurrence's terms have size at most |c_r| ||u||
+    tol = 1e-12 * np.abs(P.cheb_even()).sum()
+
+    def run():
+        w, est = svt_entries(A, uq, P, idx), estimate_bilinear(A, uq, vs, P, cfg)
+        return w, est, svt._last_apply.slot[1][0]
+
+    w, est, S = _with([], run)
+    assert est.operator == "matrix_free" and isinstance(S, svt._MatrixFree)
+    oracle = exact_svt_apply(A.to_dense(), P, u)
+    assert np.abs(w - oracle).max() <= tol
+    for kind in ("dense", "sparse"):
+        w_formed, est_formed, S = _with(_formed(kind), run)
+        assert est_formed.operator == "formed"
+        assert isinstance(S, np.ndarray) == (kind == "dense" and A.nnz > 0)
+        assert np.abs(w - w_formed).max() <= tol
+        assert abs(est.value - est_formed.value) <= 2 * tol
+    # the estimator by hand from the oracle's entries, on the same draws
+    counts = vs.sample_counts(np.random.default_rng(cfg.seed), cfg.samples,
+                              cfg.batches)
+    hit = counts.sum(axis=0) > 0
+    cells = vs.support()[hit]
+    means = counts[:, hit] @ (oracle[cells - 1] * vs.m ** 2 / v[cells - 1]) / cfg.samples
+    expected = complex(np.median(means.real), np.median(means.imag))
+    assert abs(est.value - expected) <= 2 * tol
+
+
+def test_matrix_free_pass_charges_every_row_and_column():
+    # 3 x 2 with 4 nonzeros and an empty row: a degree-6 filter is 3
+    # steps, each 3 + 2 row fetches and 2 * 4 entry probes
+    A = SparseMatrix.from_dense(np.array([[0.5, 0.25], [0.0, 0.0], [0.25, -0.5j]]))
+    u = QueryVector([0.6, 0.8j])
+    P = EvenPolynomial([0.25, 0.25, 0.25, 0.25])
+    assert P.degree == 6
+    svt._last_apply.slot = None
+    counter = QueryCounter()
+    svt_entries(A, u, P, [1, 2], counter=counter)
+    assert counter == QueryCounter(3 * 5, 3 * 8)
+    assert isinstance(svt._last_apply.slot[1][0], svt._MatrixFree)
+    moments = QueryCounter()
+    svt._moments(A, u.dense(), 4, moments)  # 2 matvecs
+    assert moments == QueryCounter(2 * 5, 2 * 8)
+    # a long pass on the same A forms S in its place, which every later
+    # pass on A reuses and charges N fetches and nnz(S) = 4 probes a step
+    long_pass = EvenPolynomial([0.0] * (svt.SHORT_PASS + 1) + [1.0])
+    svt_entries(A, u, long_pass, [1], counter=QueryCounter())
+    assert not isinstance(svt._last_apply.slot[1][0], svt._MatrixFree)
+    formed = QueryCounter()
+    svt_entries(A, u, P, [1, 2], counter=formed)
+    assert formed == QueryCounter(3 * 2, 3 * 4)
+    svt._last_apply.slot = None
