@@ -238,8 +238,8 @@ class SparseMatrix:
         (shared, do not mutate), built and cached on the first call, which
         imports scipy.sparse.  In svtkit only a pass that forms a sparse
         S = 2 A-dagger A - I (one longer than ``svt.SHORT_PASS`` steps on
-        a matrix too large or too sparse for a dense S), Lanczos and
-        ``kitaev.build_terms`` call it; short passes read ``csr_arrays()``."""
+        a matrix too large or too sparse for a dense S) and Lanczos call
+        it; short passes read ``csr_arrays()``."""
         return self._scipy_csr
 
     @cached_property

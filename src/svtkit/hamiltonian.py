@@ -157,9 +157,14 @@ class LocalHamiltonian:
             raise SizeError(f"dense assembly capped at n={DENSE_QUBIT_CAP}")
         return self.assemble_csr().to_dense()
 
+    def extremal_eigenvalues(self) -> tuple:
+        """(lowest, highest) eigenvalue, from the connected components of
+        the term graph (see ``_spectrum_edges``)."""
+        return _spectrum_edges(self)
+
     def operator_norm(self) -> float:
-        """Exact for n <= 12, Lanczos extremal eigenvalues above that."""
-        return max(map(abs, _extremal_eigs(self.assemble_csr())))
+        """max |eigenvalue|, from ``extremal_eigenvalues``."""
+        return max(map(abs, self.extremal_eigenvalues()))
 
 
 def _fold_sorted(keys: np.ndarray, vals: np.ndarray) -> tuple:
@@ -209,48 +214,47 @@ def _extremal_eigs(A: SparseMatrix) -> tuple:
     return float(lo), float(hi)
 
 
-def _ascending(term: LocalTerm) -> tuple:
-    """(qubits in ascending order, the block with its local qubits in that
-    order): the same operator on the register."""
-    q = term.qubits
-    order = sorted(range(len(q)), key=q.__getitem__)
-    if order == list(range(len(q))):
-        return q, term.block
-    j = len(q)
-    block = term.block.reshape((2,) * (2 * j)).transpose(
-        order + [j + a for a in order]).reshape(term.block.shape)
-    return tuple(q[a] for a in order), block
-
-
-def _weyl_bound(H: LocalHamiltonian) -> float:
-    """Upper bound on ||H|| from the term blocks alone.
-
-    Terms on the same qubit set are summed into one block G; then
-    lambda_max(H) <= sum_G lambda_max(G) and lambda_min(H) >=
-    sum_G lambda_min(G) by Weyl's inequality, each from one small
-    ``eigvalsh``.  Every G is in ascending qubit order, so the lower
-    triangles that ``eigvalsh`` reads of the G's embed into the lower
-    triangle it reads of the assembled H: the bound holds for exactly the
-    Hermitian matrix that the dense check sees, whatever the 1e-12
-    Hermitian slack of the blocks.  It includes a bound on the rounding
-    of the sums and of the small eigen-solves.
+def _spectrum_edges(H: LocalHamiltonian, whole=None) -> tuple:
+    """(lowest, highest) eigenvalue of H, summed over the connected
+    components of its term graph, as terms on disjoint qubit sets add
+    their extremal eigenvalues exactly.  Each component is assembled on
+    its own qubits, relabelled to their ranks in ascending register
+    order, and solved by ``_extremal_eigs``; qubits in no term add 0.
+    The relabelling keeps the order of the register's rows and columns,
+    so the lower triangle that ``eigvalsh`` reads of a component embeds
+    into the one it reads of H, whatever the 1e-12 Hermitian slack of the
+    blocks.  A component on more than ASSEMBLE_QUBIT_CAP qubits raises
+    SizeError before it is assembled.  A component on all n qubits is H
+    itself; ``whole``, if given, returns its edges from a matrix the
+    caller already holds, in place of a second assembly.
     """
-    groups, size = {}, 0.0
-    for term in H.terms:
-        qubits, block = _ascending(term)
-        groups[qubits] = groups[qubits] + block if qubits in groups else block
-        size += np.abs(block).sum(axis=1).max()
+    root = list(range(H.n + 1))
+
+    def find(q):
+        while root[q] != q:
+            q = root[q]
+        return q
+
+    for t in H.terms:
+        for q in t.qubits[1:]:
+            root[find(q)] = find(t.qubits[0])
+    components = {}
+    for t in H.terms:
+        components.setdefault(find(t.qubits[0]), []).append(t)
     lo = hi = 0.0
-    for block in groups.values():
-        w = np.linalg.eigvalsh(block)
-        lo += w[0]
-        hi += w[-1]
-    # summing the m terms of an entry errs by at most (m - 1) eps times their
-    # summed magnitude, so by (m - 1) eps sum_t ||block_t||_inf in norm, once
-    # in the assembly and once in the group sums; an eigen-solve of a 2^j
-    # block errs by a few 2^j eps ||G||
-    slack = (2 * len(H.terms) + 2 ** H.k) * np.finfo(float).eps * size
-    return float(max(hi, -lo) + slack)
+    for terms in components.values():
+        qubits = sorted({q for t in terms for q in t.qubits})
+        if len(qubits) > ASSEMBLE_QUBIT_CAP:
+            raise SizeError(f"assembly capped at {ASSEMBLE_QUBIT_CAP} qubits, "
+                            f"got a component on {len(qubits)}")
+        if whole is not None and len(qubits) == H.n:
+            return whole()
+        rank = {q: r for r, q in enumerate(qubits, start=1)}
+        part = LocalHamiltonian(len(qubits), H.k, [
+            LocalTerm(tuple(map(rank.get, t.qubits)), t.block) for t in terms])
+        part_lo, part_hi = _extremal_eigs(part.assemble_csr())
+        lo, hi = lo + part_lo, hi + part_hi
+    return lo, hi
 
 
 def assemble_sparse(H: LocalHamiltonian, shift: bool = False) -> SparseMatrix:
@@ -259,29 +263,27 @@ def assemble_sparse(H: LocalHamiltonian, shift: bool = False) -> SparseMatrix:
     Validates ||H|| <= 1 and the m 2^k sparsity bound (m 2^k + 1 for the
     shifted form, whose eigenvalues then lie in [1/2, 1]).
 
-    The norm check first tries a proof from the term blocks: a Weyl bound
-    (``_weyl_bound``) of at most 1.0 accepts H with no eigen-solve of H.
-    Otherwise, and whenever a term acts on all n qubits (its block is as
-    large as H, so the proof would cost as much as the check), the
-    extremal eigenvalues of the returned matrix decide, so H is assembled
-    once (the shifted form's eigenvalues mu map back to lambda = 4 mu - 3,
-    adding rounding of order 1e-14), and a norm above 1 + 1e-9 is
-    rejected.  The bound covers the spectrum that eigen-solve reads and
-    the rounding on both sides, and the eigen-solve's own rounding stays
-    far inside the 1e-9, so every input is accepted or rejected as by the
-    eigen-solve alone (above 12 qubits, up to the tolerance of Lanczos).
+    The norm check reads the extremal eigenvalues of H from its
+    connected components (``_spectrum_edges``), and rejects a norm above
+    1 + 1e-9.  When one component spans all n qubits, the check solves
+    the returned matrix instead, so H is assembled once; the shifted
+    form's eigenvalues mu map back to lambda = 4 mu - 3, adding rounding
+    of order 1e-14, far inside the 1e-9.
     """
     if H.n > ASSEMBLE_QUBIT_CAP:
         raise SizeError(
             f"assembly capped at {ASSEMBLE_QUBIT_CAP} qubits, got n={H.n}")
     A = H.assemble_csr(shift)
-    if any(len(t.qubits) == H.n for t in H.terms) or _weyl_bound(H) > 1.0:
+
+    def whole():
         lo, hi = _extremal_eigs(A)
         if shift:  # A = (H + 3I)/4 has the eigenvalues (lambda + 3)/4
-            lo, hi = 4.0 * lo - 3.0, 4.0 * hi - 3.0
-        norm = max(abs(lo), abs(hi))
-        if norm > 1.0 + 1e-9:
-            raise ValueError(f"operator norm {norm!r} exceeds 1")
+            return 4.0 * lo - 3.0, 4.0 * hi - 3.0
+        return lo, hi
+
+    norm = max(map(abs, _spectrum_edges(H, whole)))
+    if norm > 1.0 + 1e-9:
+        raise ValueError(f"operator norm {norm!r} exceeds 1")
     return A
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .access import SampledVector, exact_sampler
 from .errors import ParseError, SizeError, reject_trailing
-from .hamiltonian import LocalHamiltonian, LocalTerm, _extremal_eigs
+from .hamiltonian import LocalHamiltonian, LocalTerm
 
 __all__ = [
     "Gate",
@@ -262,10 +262,10 @@ def _check_cap(circuit: Circuit, n_idle: int) -> int:
 
 
 def build_terms(circuit: Circuit, x, n_idle: int):
-    """Sparse (H_in, H_prop, H_out, H_stab) over the A|B|C register for
-    the pre-idled circuit (first ``n_idle`` gates are identities)."""
+    """SparseMatrix (H_in, H_prop, H_out, H_stab) over the A|B|C register
+    for the pre-idled circuit (first ``n_idle`` gates are identities)."""
     n_abc = circuit.n_wires + _check_cap(circuit, n_idle)
-    return tuple(LocalHamiltonian(n_abc, 5, g).assemble_csr().csr()
+    return tuple(LocalHamiltonian(n_abc, 5, g).assemble_csr()
                  for g in _local_terms(circuit, x, n_idle))
 
 
@@ -369,7 +369,7 @@ def _build_instance(circuit: Circuit, x, n_idle: int, delta_weight,
     weighted = [t.scaled(delta_weight)
                 for t in (*h_in, *h_prop, *h_stab)] + list(h_out)
     n_abc = circuit.n_wires + m_total
-    lo, hi = _extremal_eigs(LocalHamiltonian(n_abc, 5, weighted).assemble_csr())
+    lo, hi = LocalHamiltonian(n_abc, 5, weighted).extremal_eigenvalues()
     if beta_prime is None:
         beta_prime = lo
     zero_level = (alpha_prime + beta_prime) / 2.0

@@ -152,21 +152,19 @@ def _check_chain(matrices, u):
             f"chain tail has {matrices[-1].ncols} columns, vector has {u.dim}")
 
 
-def _chain_value(matrices, u_arr: np.ndarray, table: dict | None,
-                 counter: QueryCounter | None):
+def _chain_value(matrices, u_arr: np.ndarray, counter: QueryCounter | None):
     """value(d, idx): entry idx (0-based) of the last d chain matrices
     applied to u, recursing over row nonzeros.  The matrix at remaining
-    depth d is matrices[len - d]; results are memoized in ``table`` on
-    (d, idx) unless it is None."""
+    depth d is matrices[len - d]; results are memoized on (d, idx)."""
     n = len(matrices)
+    table = {}
 
     def value(depth: int, idx: int) -> complex:
         if depth == 0:
             return u_arr[idx]
-        if table is not None:
-            got = table.get((depth, idx))
-            if got is not None:
-                return got
+        got = table.get((depth, idx))
+        if got is not None:
+            return got
         mat = matrices[n - depth]
         cols, vals = mat.row_nonzeros(idx)
         if counter is not None:
@@ -174,25 +172,23 @@ def _chain_value(matrices, u_arr: np.ndarray, table: dict | None,
         acc = 0.0 + 0.0j
         for c, v in zip(cols, vals):
             acc += v * value(depth - 1, int(c))
-        if table is not None:
-            table[(depth, idx)] = acc
+        table[(depth, idx)] = acc
         return acc
 
     return value
 
 
-def chain_entry(matrices, u: QueryVector, i: int, memo: bool = True,
+def chain_entry(matrices, u: QueryVector, i: int,
                 counter: QueryCounter | None = None) -> complex:
     """i-th entry (1-based) of B1 B2 ... Br u for s-sparse B's.
 
-    Recurses over the nonzeros of the relevant row at each level;
-    ``memo=False`` re-explores shared indices exactly as the plain
-    recursion would (useful only for tiny chains).
+    Recurses over the nonzeros of the relevant row at each level,
+    memoizing each (level, index) it visits.
     """
     _check_chain(matrices, u)
     if not 1 <= i <= matrices[0].nrows:
         raise IndexError(f"index {i} out of range [1, {matrices[0].nrows}]")
-    value = _chain_value(matrices, u.dense(), {} if memo else None, counter)
+    value = _chain_value(matrices, u.dense(), counter)
     return complex(value(len(matrices), i - 1))
 
 

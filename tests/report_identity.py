@@ -58,15 +58,18 @@ def write_inputs(folder: Path) -> list:
     save_hamiltonian(path("h.ham"), H)
     save_vector(path("h.vec"), guide_with_ground_overlap(rng, H, 0.9))
     lam = float(np.linalg.eigvalsh(H.to_dense())[0])
-    # 0.6 Z1 Z2 + 0.6 X2 X3 + 0.1 Z4: its Weyl bound over the term blocks is
-    # 1.3, so assemble_sparse falls back to the eigen-solve (norm 0.95)
+    # 0.6 Z1 Z2 + 0.6 X2 X3 (norm 0.85, as Z1 Z2 and X2 X3 anticommute),
+    # plus 0.1 Z4 in f.ham: assemble_sparse checks the norm of f.ham over
+    # its components {1, 2, 3} and {4}, and that of s.ham, one component
+    # on every qubit, from the matrix it returns
     Z = np.diag([1.0, -1.0]).astype(complex)
     X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    F = LocalHamiltonian(4, 2, [LocalTerm((1, 2), 0.6 * np.kron(Z, Z)),
-                                LocalTerm((2, 3), 0.6 * np.kron(X, X)),
-                                LocalTerm((4,), 0.1 * Z)])
-    save_hamiltonian(path("f.ham"), F)
-    save_vector(path("f.vec"), guide_with_ground_overlap(rng, F, 0.9))
+    zz_xx = [LocalTerm((1, 2), 0.6 * np.kron(Z, Z)),
+             LocalTerm((2, 3), 0.6 * np.kron(X, X))]
+    for name, H in (("f", LocalHamiltonian(4, 2, zz_xx + [LocalTerm((4,), 0.1 * Z)])),
+                    ("s", LocalHamiltonian(3, 2, zz_xx))):
+        save_hamiltonian(path(f"{name}.ham"), H)
+        save_vector(path(f"{name}.vec"), guide_with_ground_overlap(rng, H, 0.9))
 
     estimate = ["estimate", "--matrix", path("a.mat"), "--u", path("u.vec"),
                 "--v", path("v.vec"), "--eps", "0.2", "--seed", "5"]
@@ -83,7 +86,7 @@ def write_inputs(folder: Path) -> list:
         runs.append(["glh-decide", "--hamiltonian", path("h.ham"), "--guide",
                      path("h.vec"), "--a", f"{a:.4f}", "--b", f"{b:.4f}",
                      "--delta", "0.9", "--seed", "4"])
-    for name in ("h", "f"):
+    for name in ("h", "f", "s"):
         runs.append(["glh-estimate", "--hamiltonian", path(f"{name}.ham"),
                      "--guide", path(f"{name}.vec"), "--eps", "0.1",
                      "--delta", "0.9", "--seed", "2"])

@@ -256,7 +256,8 @@ def test_criterion_7_kitaev_identities():
                             (idle, "1", 4), (two_wire, "10", 2)):
         h_in, h_prop, h_out, h_stab = build_terms(circ, x, n_idle)
         psi = history_state(circ, x, n_idle)
-        zero = abs(np.vdot(psi, (h_in + h_prop + h_stab) @ psi))
+        zero = abs(np.vdot(psi, (h_in.to_dense() + h_prop.to_dense()
+                                 + h_stab.to_dense()) @ psi))
         checks.append(("history zero energy", zero <= 1e-10, zero))
         gap = verify_gap_lemma(circ, x, n_idle)  # raises if bound violated
         checks.append(("gap lemma", gap > 0, gap))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -16,6 +16,7 @@ from svtkit.rand import guide_with_ground_overlap, random_local_hamiltonian
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+Y = np.array([[0.0, -1j], [1j, 0.0]])
 
 
 def _run_python(code: str) -> str:
@@ -96,14 +97,19 @@ def test_assemble_sparse_assembles_once(monkeypatch, shift):
 
     monkeypatch.setattr(LocalHamiltonian, "assemble_csr", spy)
     eigen_solves = _spy_extremal_eigs(monkeypatch)
+    # H is assembled once, its component {1, 3} once more on its own two
+    # qubits, relabelled 1 and 2, and that is what the eigen-solve reads
     H = LocalHamiltonian(3, 2, [LocalTerm((1, 3), 0.5 * np.kron(Z, X))])
     assemble_sparse(H, shift=shift)
-    assert calls == [H] and eigen_solves == []
-    # without a Weyl proof the eigen-solve reads the returned matrix, for
-    # the shifted form (H + 3I)/4, not a second assembly of H
+    assert calls[0] is H and len(calls) == 2
+    assert (calls[1].n, calls[1].terms[0].qubits) == (2, (1, 2))
+    assert [A.nrows for A in eigen_solves] == [4]
+    # a component on every qubit is H itself: the eigen-solve reads the
+    # returned matrix, for the shifted form (H + 3I)/4 too, not a second
+    # assembly of H
     H = _zz_xx(0.6)
     A = assemble_sparse(H, shift=shift)
-    assert calls[1:] == [H] and eigen_solves == [A]
+    assert calls[2:] == [H] and eigen_solves[1:] == [A]
 
 
 def test_assemble_matches_dense_kron_oracle(rng):
@@ -169,8 +175,20 @@ def _hamiltonians(draw, norms=None):
 
 @settings(max_examples=150, deadline=None)
 @given(H=_hamiltonians())
-def test_weyl_bound_covers_the_spectrum(H):
-    assert ham._weyl_bound(H) >= np.abs(np.linalg.eigvalsh(H.to_dense())).max() - 1e-12
+@example(H=LocalHamiltonian(3, 2, []))
+@example(H=LocalHamiltonian(4, 2, [LocalTerm((3, 4), 0.7 * np.kron(X, Z)),
+                                   LocalTerm((1, 2), 0.4 * np.kron(Z, Z)),
+                                   LocalTerm((4,), 0.2 * X)]))
+@example(H=LocalHamiltonian(3, 3, [
+    LocalTerm((3, 2, 1), 0.3 * np.kron(Z, np.kron(X, Y))
+              + np.triu(np.full((8, 8), 4e-13), 1))]))
+@example(H=LocalHamiltonian(3, 1, [LocalTerm((1,), 0.5 * Z),
+                                   LocalTerm((3,), -0.3 * X)]))
+def test_component_edges_match_the_full_eigen_solve(H):
+    w = np.linalg.eigvalsh(H.to_dense())
+    lo, hi = H.extremal_eigenvalues()
+    tol = 1e-12 * max(1.0, np.abs(w).max())
+    assert abs(lo - w[0]) <= tol and abs(hi - w[-1]) <= tol
 
 
 _NORMS = [0.5, 0.99, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 1.0 + 1e-8, 1.2]
@@ -221,28 +239,59 @@ def _zz_xx(weight):
                                    LocalTerm((2, 3), weight * np.kron(X, X))])
 
 
-def test_provable_norm_skips_the_eigen_solve(monkeypatch):
-    calls = _spy_extremal_eigs(monkeypatch)
-    H = _zz_xx(0.3)  # Weyl bound 0.6
-    assert_allclose(assemble_sparse(H).to_dense(), H.to_dense(), atol=0)
-    assert calls == []
+def test_component_relabelling_keeps_the_lower_triangle():
+    # a term on (3, 2) whose block is Hermitian only to 9e-13: relabelled
+    # in ascending register order, its component is solved from the lower
+    # triangle that eigvalsh reads of H, so the edges agree to rounding,
+    # where a relabelling in first-seen order would read the upper one and
+    # move them by about 1e-13
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        block = 0.2 * (g + g.conj().T) + np.triu(np.full((4, 4), 9e-13), 1)
+        H = LocalHamiltonian(3, 2, [LocalTerm((3, 2), block),
+                                    LocalTerm((1,), 0.2 * Z)])
+        w = np.linalg.eigvalsh(H.to_dense())
+        assert_allclose(H.extremal_eigenvalues(), (w[0], w[-1]), rtol=0, atol=1e-14)
 
 
-def test_unprovable_norm_falls_back_to_the_eigen_solve(monkeypatch):
-    # Z1 Z2 and X2 X3 anticommute, so H^2 = 0.72 I and ||H|| = 0.85, while
-    # the Weyl bound is 0.6 + 0.6 = 1.2
+def test_one_eigen_solve_per_component(monkeypatch):
+    # components {1, 2, 3} and {5}, each solved on its own qubits; qubit 4
+    # is in no term and adds 0
     calls = _spy_extremal_eigs(monkeypatch)
-    H = _zz_xx(0.6)
-    assert ham._weyl_bound(H) == pytest.approx(1.2)
+    H = LocalHamiltonian(5, 2, [LocalTerm((1, 2), 0.3 * np.kron(Z, Z)),
+                                LocalTerm((5,), 0.1 * Z),
+                                LocalTerm((3, 2), 0.3 * np.kron(X, X))])
     assert_allclose(assemble_sparse(H).to_dense(), H.to_dense(), atol=0)
-    assert len(calls) == 1
+    assert [A.nrows for A in calls] == [8, 2]
+    # Z1 Z2 and X2 X3 anticommute, so that block squares to 0.18 I
+    assert H.extremal_eigenvalues() == pytest.approx(
+        (-np.sqrt(0.18) - 0.1, np.sqrt(0.18) + 0.1))
 
 
 def test_term_on_every_qubit_takes_the_eigen_solve(monkeypatch):
-    # a block as large as H would cost as much as the check it replaces
+    # one component on every qubit, here from a reversed support: the
+    # eigen-solve reads the returned matrix
     calls = _spy_extremal_eigs(monkeypatch)
-    assemble_sparse(LocalHamiltonian(2, 2, [LocalTerm((2, 1), 0.3 * np.kron(Z, X))]))
-    assert len(calls) == 1
+    A = assemble_sparse(LocalHamiltonian(2, 2, [LocalTerm((2, 1), 0.3 * np.kron(Z, X))]))
+    assert calls == [A]
+
+
+def test_component_past_the_assembly_cap_raises_before_assembly(monkeypatch):
+    def no_assembly(self, *args):
+        raise AssertionError("assembled a component past the cap")
+
+    monkeypatch.setattr(LocalHamiltonian, "assemble_csr", no_assembly)
+    n = ham.ASSEMBLE_QUBIT_CAP + 1
+    H = LocalHamiltonian(n, 2, [LocalTerm((q, q + 1), 0.01 * np.kron(Z, Z))
+                                for q in range(1, n)])
+    with pytest.raises(SizeError, match=f"component on {n}"):
+        H.operator_norm()
+
+
+def test_operator_norm_reads_only_the_terms_qubits():
+    # a 2^30 register, of which one qubit carries a term
+    assert LocalHamiltonian(30, 1, [LocalTerm((1,), 0.5 * Z)]).operator_norm() == 0.5
 
 
 def test_assemble_cap(rng):

@@ -47,10 +47,11 @@ def test_idle_only_prop_spectrum():
     # one idle gate: H_prop restricted to the clock is (I - X)/2 with
     # ground (|t0> + |t1>)/sqrt(2) and smallest nonzero eigenvalue 1
     h_in, h_prop, h_out, h_stab = build_terms(IDLE_CIRCUIT, "0", 1)
-    w = np.linalg.eigvalsh(h_prop.toarray())
+    prop = h_prop.to_dense()
+    w = np.linalg.eigvalsh(prop)
     assert abs(w[w > 1e-12][0] - 1.0) < 1e-12
     psi = history_state(IDLE_CIRCUIT, "0", 1)
-    assert abs(np.vdot(psi, h_prop @ psi)) < 1e-12
+    assert abs(np.vdot(psi, prop @ psi)) < 1e-12
 
 
 def test_terms_positive_semidefinite(rng):
@@ -58,7 +59,7 @@ def test_terms_positive_semidefinite(rng):
                     (Circuit(2, 1, [Gate("CNOT", (1, 2), GATES["CNOT"]),
                                     Gate("H", (3,), GATES["H"])]), "10")):
         for block in build_terms(circ, x, 2):
-            w = np.linalg.eigvalsh(block.toarray())
+            w = np.linalg.eigvalsh(block.to_dense())
             assert w[0] > -1e-10
 
 
@@ -66,7 +67,7 @@ def test_stab_zero_on_unary_strings():
     h_in, h_prop, h_out, h_stab = build_terms(X_CIRCUIT, "0", 2)
     m_total = 3
     dim_comp = 4
-    stab = h_stab.toarray()
+    stab = h_stab.to_dense()
     for t in range(m_total + 1):
         clock = int("1" * t + "0" * (m_total - t), 2) if t else 0
         for comp in range(dim_comp):
@@ -80,7 +81,8 @@ def test_history_state_zero_energy():
     h_in, h_prop, h_out, h_stab = build_terms(X_CIRCUIT, "0", 1)
     psi = history_state(X_CIRCUIT, "0", 1)
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
-    energy = np.vdot(psi, (h_in + h_prop + h_stab) @ psi)
+    energy = np.vdot(psi, (h_in.to_dense() + h_prop.to_dense()
+                          + h_stab.to_dense()) @ psi)
     assert abs(energy) < 1e-10
 
 

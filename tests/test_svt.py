@@ -71,14 +71,6 @@ def test_chain_shape_errors(rng):
         chain_entry([b], u, 9)
 
 
-def test_chain_memo_transparency(rng):
-    mats = [random_sparse_matrix(rng, 8, 8, 2) for _ in range(3)]
-    u = QueryVector(random_unit_vector(rng, 8))
-    for i in (1, 4, 8):
-        assert chain_entry(mats, u, i, memo=True) == chain_entry(
-            mats, u, i, memo=False)
-
-
 def test_chain_counter_counts_row_fetches(rng):
     A = SparseMatrix.from_dense(np.eye(4))
     u = QueryVector(np.ones(4))
