@@ -338,9 +338,12 @@ def build_threshold(spec: ThresholdSpec) -> EvenPolynomial:
     are shifted to the interval edges and averaged; the even part of that
     sum is interpolated exactly in w = 2x^2 - 1, then sup-normalized over
     [-1, 1] and certified by verify_threshold, both on DEFAULT_GRID points.
-    The internal sign-approximation accuracy starts at chi/3 and is
-    tightened if the final certificate fails.  Raises ConstructionError
-    when no attempt certifies.
+    When the certificate fails with the plateau grid's maximum above 1,
+    the filter is rescaled by that maximum, refined on 201 points between
+    its two grid neighbours, and certified again.  The internal
+    sign-approximation accuracy starts at chi/3 and is tightened if the
+    final certificate fails.  Raises ConstructionError when no attempt
+    certifies.
     """
     last_report = None
     xi = spec.chi / 3.0
@@ -356,6 +359,18 @@ def build_threshold(spec: ThresholdSpec) -> EvenPolynomial:
             cr = cr / (sup * (1.0 + 1e-12))
         candidate = EvenPolynomial(cr)
         report = verify_threshold(candidate, spec)
+        if not report.passed:
+            # the sup grid can miss a maximum just above 1 that the denser
+            # plateau grid finds, and a smaller xi does not move it: rescale
+            # by that maximum, refined between the grid's neighbours of it
+            xs = np.linspace(spec.t1, spec.t2, DEFAULT_GRID)
+            pv = candidate(xs)
+            i = int(pv.argmax())
+            near = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], 201)
+            top = max(pv[i], candidate(near).max())
+            if top > 1.0:
+                candidate = EvenPolynomial(cr / (top * (1.0 + 1e-12)))
+                report = verify_threshold(candidate, spec)
         if report.passed:
             return candidate
         last_report = report

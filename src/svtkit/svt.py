@@ -28,7 +28,7 @@ of moments serves every filter on the same (A, u).
 A pass of at most SHORT_PASS steps applies S matrix-free: each step
 computes y = A x and then S x = 2 A-dagger y - x straight from A's CSR
 arrays, so S is never formed and scipy is never imported.  A longer
-pass forms S once, as a dense array when A is small and its rows share
+pass forms S, as a dense array when A is small and its rows share
 enough columns, and as a scipy CSR matrix otherwise (``_contraction``
 holds both rules and their measured trade-offs).  A formed S holds the
 same values either way, so nnz(S), which such a pass charges per step,
@@ -36,22 +36,21 @@ is the same; S @ x differs in rounding only.  A matrix-free step
 charges every row and every column of A once: nrows + ncols row
 fetches and 2 nnz(A) entry probes.
 
-Each thread keeps one slot (A, contraction, apply, moments), keyed on
-object identity: a call with the same A reuses its contraction, a
-formed S for any pass and a matrix-free one for short passes (a long
-pass on a matrix-free slot forms S in its place); apply = (u, P, w) is
-the last Chebyshev apply, returned (read-only) for the same u array and
-P; moments = (u, mu) is the last moment pass, returned for the same u
-array when it is long enough for the filter and recomputed at the new
-length otherwise.  So reading several entries of one vector costs one
-apply, and deciding several filters against one guide costs one
-moment pass.  The slot never holds two contractions.  Its strong
-references keep those ids from being reused, and the key objects are
-immutable.  Beyond the inputs it keeps alive it holds at most
-(N + 1)^2 + N + D/2 numbers per thread for a dense S (stored with one
-padding row and column), nnz(S) + N + D/2 for a sparse one and at most
-5 nnz(A) + 2 nrows + N + D/2 for a matrix-free one.  Query counts are
-charged on every call, cache hit or not.
+Each thread keeps two memos, keyed on object identity.  The apply
+memo holds the last Chebyshev apply (A, u, P) -> w and returns w,
+read-only, for the same A, u array and P, so reading several entries
+of one vector costs one apply.  The moments memo holds the last moment
+pass (A, u) -> mu and returns its first count moments for the same A
+and u array, running the pass again at the new length when count
+exceeds them, so deciding several filters against one guide costs one
+moment pass.  Each memo also keeps the per-step charge and the engine
+("matrix_free" or "formed") of the pass that computed it, which a hit
+charges and reports.  On a miss, _contraction builds S for that one
+pass, and S is dropped when the call returns.  The memos' strong
+references keep the key ids from being reused, and the key objects are
+immutable.  Beyond the inputs they keep alive they hold at most
+N + D/2 numbers per thread.  Query counts are charged on every call,
+hit or not.
 
 Randomized layer: one sample draws j from the sampling-access
 distribution of v and takes X_j = w_j m^2 / v_j with
@@ -87,6 +86,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,12 +118,12 @@ NORM_TOLERANCE = 1e-3
 # The local engine costs about s^(2d) row fetches; 30 is the highest degree
 # the monomial chain recursion served, so each input it served stays local.
 # It is not a tuned crossover: for 16 entries of one vector at N = 256 the
-# slot's whole-vector apply is faster from degree 4 up (s = 4, degree 30:
+# whole-vector apply is faster from degree 4 up (s = 4, degree 30:
 # 233 ms local against 0.8 ms), while the local cost does not grow with N.
-# The entry benchmark runs degrees 2-12 locally and 186 on the slot.
+# The entry benchmark runs degrees 2-12 locally and 186 on the whole vector.
 LOCAL_DEGREE_LIMIT = 30
 
-_last_apply = threading.local()
+_memos = threading.local()
 
 
 @dataclass
@@ -334,86 +334,78 @@ def _dense_contraction(A: SparseMatrix) -> tuple:
     return S, int(np.count_nonzero(S != 0))
 
 
-def _slot_for(A: SparseMatrix, steps: int) -> tuple:
-    """This thread's slot (A, contraction, apply, moments) for a pass of
-    ``steps`` steps, contraction = (S, row fetches, entry probes) from
-    ``_contraction``.
+class _Memo(NamedTuple):
+    """A result kept per thread, the objects it was computed from, and
+    the per-step charge and the engine of the pass that computed it."""
 
-    When A is the slot's matrix its contraction is reused, unless it is
-    matrix-free and the pass is longer than SHORT_PASS: then S is formed
-    and returned in its place, with the slot's apply and moments,
-    unstored.  Otherwise the slot is cleared, so that it never holds two
-    contractions, and a fresh (A, contraction, None, None) is returned
-    unstored.
-    """
-    slot = getattr(_last_apply, "slot", None)
-    if slot is None or slot[0] is not A:
-        _last_apply.slot = None
-        return (A, _contraction(A, steps), None, None)
-    if steps > SHORT_PASS and isinstance(slot[1][0], _MatrixFree):
-        return (A, _contraction(A, steps)) + slot[2:]
-    return slot
+    key: tuple
+    value: np.ndarray  # read-only
+    charge: tuple  # (row fetches, entry probes) a step
+    engine: str  # "matrix_free" or "formed"
 
 
-def _charge(counter: QueryCounter | None, contraction: tuple, steps: int):
+def _charge(counter: QueryCounter | None, charge, steps: int):
     if counter is not None:
-        _, fetches, probes = contraction
-        counter.row_fetches += steps * fetches
-        counter.entry_probes += steps * probes
+        counter.row_fetches += steps * charge[0]
+        counter.entry_probes += steps * charge[1]
+
+
+def _kept(name: str, key: tuple, steps: int, counter: QueryCounter | None,
+          run, size: int = 0) -> np.ndarray:
+    """The value of this thread's ``name`` memo when it was computed from
+    the ``key`` objects and holds at least ``size`` numbers, charged
+    ``steps`` steps at its pass's per-step cost.
+
+    Otherwise one pass of ``steps`` steps on A = key[0] is charged, run(S)
+    computes the value with a fresh S from _contraction, and the result
+    replaces the memo.  S is dropped on return; a pass that raises
+    stores nothing.
+    """
+    memo = getattr(_memos, name, None)
+    if (memo is not None and all(a is b for a, b in zip(memo.key, key))
+            and memo.value.size >= size):
+        _charge(counter, memo.charge, steps)
+        return memo.value
+    S, *charge = _contraction(key[0], steps)
+    _charge(counter, charge, steps)
+    value = run(S)
+    value.flags.writeable = False
+    engine = "matrix_free" if isinstance(S, _MatrixFree) else "formed"
+    setattr(_memos, name, _Memo(key, value, tuple(charge), engine))
+    return value
 
 
 def _cheb_apply(A: SparseMatrix, u_arr: np.ndarray, P: EvenPolynomial,
                 counter: QueryCounter | None = None) -> np.ndarray:
     """P(sqrt(A-dagger A)) u via the T_r(2 A-dagger A - I) recurrence.
 
-    The result is read-only.  This thread's slot keeps (u_arr, P, w)
-    from the last successful call: the same A object reuses its
-    contraction, and the same A, u_arr and P objects return the stored
-    w.  Otherwise the recurrence runs and replaces the slot's apply; a
-    call that raises stores nothing.  Each call charges the degree // 2
-    steps of the pass, hit or miss.  Raises ConfigError when some
-    ||T_r(S) u||^2 exceeds (1 + NORM_TOLERANCE) ||u||^2, which means
-    ||A|| > 1.
+    The result is read-only.  This thread's apply memo keeps it: the
+    same A, u_arr and P objects return it again, charged at the per-step
+    cost of the pass that computed it.  Otherwise the recurrence runs on
+    a fresh S and replaces the memo.  Each call charges the degree // 2
+    steps of the pass, hit or miss.  Raises ConfigError, storing
+    nothing, when some ||T_r(S) u||^2 exceeds
+    (1 + NORM_TOLERANCE) ||u||^2, which means ||A|| > 1.
     """
-    steps = P.degree // 2
-    _, contraction, apply, moments = _slot_for(A, steps)
-    _charge(counter, contraction, steps)
-    if apply is not None and apply[0] is u_arr and apply[1] is P:
-        return apply[2]
-    w = _recurrence(contraction[0], u_arr, P.cheb_even())
-    w.flags.writeable = False
-    _last_apply.slot = (A, contraction, (u_arr, P, w), moments)
-    return w
+    return _kept("apply", (A, u_arr, P), P.degree // 2, counter,
+                 lambda S: _recurrence(S, u_arr, P.cheb_even()))
 
 
 def _moments(A: SparseMatrix, u_arr: np.ndarray, count: int,
              counter: QueryCounter | None = None) -> np.ndarray:
     """The Chebyshev moments mu_r = u-dagger T_r(S) u for r < count.
 
-    Returns them read-only.  This thread's slot keeps (u_arr, mu) from
-    the last successful call: the same A reuses its contraction, and the
-    same A and u_arr objects return the first ``count`` stored moments
-    unless ``count`` exceeds them, when the pass runs again at the new
-    length.  Each call charges the pass's count // 2 matvecs, hit or
+    Returns them read-only.  This thread's moments memo keeps the last
+    pass: the same A and u_arr objects return its first ``count``
+    moments, charged at the per-step cost of that pass, unless ``count``
+    exceeds them, when the pass runs again at the new length and
+    replaces the memo.  Each call charges count // 2 matvecs, hit or
     miss.  Raises ConfigError, storing nothing, when ||A|| > 1 shows in
     the moments.
     """
-    steps = count // 2
-    _, contraction, apply, moments = _slot_for(A, steps)
-    _charge(counter, contraction, steps)
-    if moments is not None and moments[0] is u_arr and moments[1].size >= count:
-        return moments[1][:count]
-    mu = _moment_pass(contraction[0], u_arr, count)
-    mu.flags.writeable = False
-    _last_apply.slot = (A, contraction, apply, (u_arr, mu))
-    return mu
-
-
-def _operator() -> str:
-    """How the last successful apply or moment pass in this thread
-    applied S, read from the slot it left: "matrix_free" or "formed"."""
-    S = _last_apply.slot[1][0]
-    return "matrix_free" if isinstance(S, _MatrixFree) else "formed"
+    mu = _kept("moments", (A, u_arr), count // 2, counter,
+               lambda S: _moment_pass(S, u_arr, count), size=count)
+    return mu[:count]
 
 
 def _moment_pass(S, u_arr: np.ndarray, count: int) -> np.ndarray:
@@ -481,11 +473,11 @@ def svt_entry(A: SparseMatrix, u: QueryVector, P: EvenPolynomial, i: int,
     Up to degree LOCAL_DEGREE_LIMIT the entry comes from the local
     Chebyshev recursion over the rows and columns of A near i, at a
     query cost independent of N.  Higher degrees use the Chebyshev
-    recurrence on the whole vector, which stays in this thread's slot,
-    so further entries of the same (A, u, P) cost no recompute.  Both
-    paths raise ConfigError when ||A|| > 1 shows: the whole-vector path
-    in any entry, the local path in the entries it reads.  Values agree
-    to machine precision.
+    recurrence on the whole vector, which this thread's apply memo
+    keeps, so further entries of the same (A, u, P) cost no recompute.
+    Both paths raise ConfigError when ||A|| > 1 shows: the whole-vector
+    path in any entry, the local path in the entries it reads.  Values
+    agree to machine precision.
     """
     if A.ncols != u.dim:
         raise ShapeError(f"matrix has {A.ncols} columns, vector has {u.dim}")
@@ -763,7 +755,7 @@ def estimate_bilinear(A: SparseMatrix, u: QueryVector, v: SampledVector,
         value=z, eps=cfg.eps, fail_prob=cfg.fail_prob, samples=cfg.samples,
         batches=cfg.batches, total_samples=cfg.batches * cfg.samples,
         unique_indices=int(np.count_nonzero(hit)), degree=P.degree,
-        operator=_operator(), counter=counter,
+        operator=_memos.apply.engine, counter=counter,
         elapsed_s=time.perf_counter() - t0)
 
 
@@ -774,8 +766,8 @@ def moment_contraction(A: SparseMatrix, v: SampledVector, P: EvenPolynomial,
     mu_r = v-dagger T_r(S) v (the kernel polynomial method).
 
     Runs estimate_bilinear's input checks with u = v.base and returns
-    its result type with no samples drawn.  The moments stay in this
-    thread's slot, keyed on (A, v.base array), so further filters on the
+    its result type with no samples drawn.  This thread's moments memo
+    keeps them, keyed on (A, v.base array), so further filters on the
     same matrix and guide cost one dot product each; a longer filter
     recomputes them.  The counter is charged the pass's
     ceil(degree / 4) matvecs on every call.  The value is real because
@@ -795,5 +787,5 @@ def moment_contraction(A: SparseMatrix, v: SampledVector, P: EvenPolynomial,
     return EstimateResult(
         value=complex(cr @ mu), eps=cfg.eps, fail_prob=cfg.fail_prob,
         samples=0, batches=0, total_samples=0, unique_indices=0,
-        degree=P.degree, operator=_operator(), counter=counter,
+        degree=P.degree, operator=_memos.moments.engine, counter=counter,
         elapsed_s=time.perf_counter() - t0)

@@ -5,8 +5,9 @@
 BASE_SRC and HEAD_SRC are the ``src`` directories of two checkouts.  The
 script writes fixed inputs with the generators of ``svtkit.rand`` and the
 ``save_*`` writers (imported from HEAD_SRC) into a temporary directory,
-then runs the ``estimate``, ``sve``, ``glh-decide``, ``glh-estimate`` and
-``bench`` commands through ``python -m svtkit.cli`` against each tree.  The
+then runs the ``estimate``, ``sve``, ``glh-decide``, ``glh-estimate``,
+``oracle-check`` and ``bench`` commands through ``python -m svtkit.cli``
+against each tree.  The
 ``wall_time_s=`` lines are dropped; any other difference in a command's
 stdout or exit code is printed as a ``DIFFERENT:`` line and a unified
 diff, and the script exits 1.
@@ -90,8 +91,32 @@ def write_inputs(folder: Path) -> list:
         runs.append(["glh-estimate", "--hamiltonian", path(f"{name}.ham"),
                      "--guide", path(f"{name}.vec"), "--eps", "0.1",
                      "--delta", "0.9", "--seed", "2"])
+    runs.append(["oracle-check", "--fixtures", write_fixtures(folder / "fixtures")])
     runs.append(["bench", "--seed", "11"])
     return runs
+
+
+def write_fixtures(folder: Path) -> str:
+    """Write two oracle-check fixtures into ``folder``: one that svt_entry
+    serves with its local engine (degree 6) and one on its Chebyshev path
+    (the degree-186 filter of the entry benchmark).  They come from their
+    own generator, so the other inputs keep their bytes."""
+    import numpy as np
+
+    from svtkit.access import save_matrix, save_vector
+    from svtkit.polynomial import ThresholdSpec, build_threshold, save_polynomial
+    from svtkit.rand import (random_even_polynomial, random_sparse_matrix,
+                             random_unit_vector)
+
+    rng = np.random.default_rng(20261019)
+    folder.mkdir()
+    polys = {"local": random_even_polynomial(rng, 3),
+             "vector": build_threshold(ThresholdSpec(0.5, 0.7, 0.1, 0.1, 0.2))}
+    for stem, P in polys.items():
+        save_matrix(folder / f"{stem}.matrix", random_sparse_matrix(rng, 64, 64, 3))
+        save_vector(folder / f"{stem}.u", random_unit_vector(rng, 64))
+        save_polynomial(folder / f"{stem}.poly", P)
+    return str(folder)
 
 
 def report(src: str, argv: list) -> list:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from svtkit import cli, svt
-from svtkit.access import save_matrix, save_vector
+from svtkit.access import SparseMatrix, save_matrix, save_vector
 from svtkit.hamiltonian import load_hamiltonian
 from svtkit.kitaev import GATES, Circuit, Gate, save_circuit
 from svtkit.polynomial import EvenPolynomial, save_polynomial
@@ -206,6 +206,18 @@ def test_sve_report_carries_margin(capsys, tmp_path):
         assert rep["decision"] == ("HAS_SV" if case == "inside" else "NO_SV")
         assert (float(rep["margin"]) > 0) == (rep["decision"] == "HAS_SV")
         assert rep["total_samples"] == "0"  # the exact contraction
+
+
+def test_sve_accepts_a_wide_band_spec(capsys, tmp_path):
+    # its filter (chi = 0.12) needs the build's rescale by the plateau maximum
+    save_matrix(tmp_path / "a.mat", SparseMatrix.from_dense(np.diag([0.2, 0.05, 0.6])))
+    save_vector(tmp_path / "g.vec", np.array([1.0, 0.0, 0.0]))
+    code, out, err = run_cli(
+        capsys, "sve", "--matrix", str(tmp_path / "a.mat"), "--guide",
+        str(tmp_path / "g.vec"), "--t1", "0.1", "--t2", "0.3", "--theta1", "0.1",
+        "--theta2", "0.7", "--delta", "0.6")
+    assert code == 0, err
+    assert _report_dict(out)["decision"] == "HAS_SV"
 
 
 def test_oracle_check_pass_and_fail(capsys, tmp_path):

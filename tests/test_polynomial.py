@@ -266,6 +266,14 @@ def test_degenerate_plateau_builds():
     assert verify_threshold(P, spec).passed
 
 
+def test_wide_band_spec_builds():
+    # the sup grid of [0, 1] misses the maximum 1 + 6.5e-8 near x = 0.15
+    # that the plateau grid finds; rescaling by it certifies the filter
+    spec = ThresholdSpec(0.1, 0.3, 0.1, 0.7, 0.2)
+    P = build_threshold(spec)
+    assert verify_threshold(P, spec).passed
+
+
 def test_monomial_conversion_round_trip(rng):
     coeffs = rng.normal(size=4)
     P = EvenPolynomial.from_even_coeffs(coeffs)

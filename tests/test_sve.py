@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from svtkit.access import SparseMatrix, distorted_sampler, exact_sampler
 from svtkit.errors import ConfigError
-from svtkit.oracle import exact_bilinear
-from svtkit.polynomial import build_threshold_cached
+from svtkit.hamiltonian import (HIGH, LOW, GlhProblem, LocalHamiltonian, LocalTerm,
+                                assemble_sparse, decide_glh)
+from svtkit.oracle import DenseSvd, exact_bilinear, exact_projector
+from svtkit.polynomial import CERT_TOLERANCE, build_threshold_cached
 from svtkit.rand import planted_sve_instance, random_unit_vector
 from svtkit.sve import HAS_SV, NO_SV, SveProblem, decide_singular_interval
 
@@ -177,3 +181,107 @@ def test_margin_sign_agrees_with_decision(rng, contraction):
         if contraction == "exact":  # the filter's separation, 7/6 eps each side
             assert abs(res.margin) >= 7 / 6 - 1e-9
             assert res.estimate.imag == 0.0 and not res.warnings
+
+
+def _margin_floor(delta):
+    """7/6, less what the certificate's tolerance on P can take off a
+    margin in units of eps = delta^2 / 7."""
+    return 7 / 6 - 7 * CERT_TOLERANCE / delta ** 2 - 1e-12
+
+
+def _band_minimum(P, lo, hi):
+    """The point of the open band (lo, hi) where P is smallest, on a grid."""
+    xs = np.linspace(lo, hi, 2001)[1:-1]
+    return xs[np.argmin(P(xs))]
+
+
+@st.composite
+def _promise_specs(draw):
+    """(t1, t2, theta1, theta2, delta) with each theta in [0.03, 0.45]."""
+    theta1, theta2 = draw(st.floats(0.03, 0.45)), draw(st.floats(0.03, 0.45))
+    t1 = draw(st.floats(theta1, 1.0 - theta2))
+    t2 = draw(st.floats(t1, 1.0 - theta2))
+    return t1, t2, theta1, theta2, draw(st.floats(0.3, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_promise_specs(), edge=st.sampled_from(["i-t1", "i-t2", "ii-lo", "ii-hi"]),
+       n=st.integers(2, 64))
+@example(spec=(0.3, 0.5, 0.3, 0.2, 0.7), edge="ii-lo", n=2)  # t1 - theta1 = 0
+@example(spec=(0.3, 0.5, 0.3, 0.2, 0.7), edge="i-t1", n=2)
+@example(spec=(0.4, 0.6, 0.1, 0.4, 0.7), edge="ii-hi", n=3)  # t2 + theta2 = 1
+@example(spec=(0.4, 0.6, 0.1, 0.4, 0.7), edge="i-t2", n=3)
+@example(spec=(0.1, 0.3, 0.1, 0.7, 0.6), edge="i-t1", n=4)  # needs the rescale
+@example(spec=(0.2996968926280026, 0.828125, 0.03, 0.1640625, 0.8203125), edge="i-t1", n=2)
+def test_exact_mode_decides_at_the_edges_of_the_promise(spec, edge, n):
+    # diagonal A, so the singular values sit exactly where they are put;
+    # padding zeros carry no guide weight and lie outside the open
+    # interval (t1 - theta1, t2 + theta2) in either case
+    t1, t2, theta1, theta2, delta = spec
+    P = build_threshold_cached(SveProblem(
+        matrix=SparseMatrix.from_dense(np.eye(1)), guide=exact_sampler([1.0]),
+        t1=t1, t2=t2, theta1=theta1, theta2=theta2, delta=delta).threshold_spec())
+    sigma, u = np.zeros(n), np.zeros(n)
+    if edge.startswith("i-"):
+        # overlap exactly delta at a plateau edge, the rest where P is
+        # smallest in the transition bands
+        sigma[0] = t1 if edge == "i-t1" else t2
+        bands = [_band_minimum(P, t1 - theta1, t1), _band_minimum(P, t2, t2 + theta2)]
+        sigma[1] = min(bands, key=P)
+        u[0], u[1] = delta, np.sqrt(1.0 - delta ** 2)
+    else:  # all weight on a singular value at an outer edge
+        sigma[0] = t1 - theta1 if edge == "ii-lo" else t2 + theta2
+        u[0] = 1.0
+    A = SparseMatrix.from_dense(np.diag(sigma))
+    res = decide_singular_interval(SveProblem(
+        matrix=A, guide=exact_sampler(u), t1=t1, t2=t2, theta1=theta1,
+        theta2=theta2, delta=delta))
+    # the dense oracle confirms the promise, up to the rounding of its
+    # SVD (which returns t2 = 0.634765625 as one ulp more), and the form
+    dense, ulps = A.to_dense(), 1e-12
+    if edge.startswith("i-"):
+        inside = exact_projector(dense, t1 - ulps, t2 + ulps) @ u
+        assert np.linalg.norm(inside) >= delta - 1e-12
+    else:
+        s = DenseSvd.compute(dense).sigma
+        assert not np.any((s > t1 - theta1 + ulps) & (s < t2 + theta2 - ulps))
+    assert abs(res.estimate.real - exact_bilinear(dense, P, u, u).real) <= 1e-12
+    assert res.decision == (HAS_SV if edge.startswith("i-") else NO_SV)
+    assert abs(res.margin) >= _margin_floor(delta)
+
+
+@st.composite
+def _glh_thresholds(draw):
+    """(a, b) with b - a >= 0.12, so that theta2 = (b - a)/4 >= 0.03."""
+    a = draw(st.floats(-1.0, 0.88))
+    return a, draw(st.floats(a + 0.12, 1.0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(ab=_glh_thresholds(), delta=st.floats(0.3, 1.0), at=st.sampled_from("ab"))
+@example(ab=(-1.0, -0.75), delta=0.5, at="a")
+@example(ab=(0.5, 1.0), delta=0.9, at="b")
+def test_glh_decides_a_ground_energy_at_a_threshold(ab, delta, at):
+    # one qubit, H = diag(lambda_H, mu): (H + 3I)/4 puts lambda_H = a at
+    # sigma = (3 + a)/4 = t2 exactly, and lambda_H = b at t2 + theta2
+    a, b = ab
+    spec = SveProblem(matrix=SparseMatrix.from_dense(np.eye(1)),
+                      guide=exact_sampler([1.0]), t1=0.5, t2=(3.0 + a) / 4.0,
+                      theta1=0.5, theta2=(b - a) / 4.0, delta=delta).threshold_spec()
+    P = build_threshold_cached(spec)
+    if at == "a":  # overlap exactly delta, the rest where P is smallest above a
+        mu = 4.0 * _band_minimum(P, spec.t2, spec.t2 + spec.theta2) - 3.0
+        H = LocalHamiltonian(1, 1, [LocalTerm((1,), np.diag([a, mu]))])
+        u = np.array([delta, np.sqrt(1.0 - delta ** 2)])
+    else:
+        H = LocalHamiltonian(1, 1, [LocalTerm((1,), np.diag([b, 1.0]))])
+        u = np.array([1.0, 0.0])
+    shifted = assemble_sparse(H, shift=True)
+    if at == "a":
+        assert shifted.to_dense()[0, 0] == spec.t2  # bit for bit
+    d = decide_glh(GlhProblem(hamiltonian=H, guide=exact_sampler(u), delta=delta,
+                              a=a, b=b))
+    exact = exact_bilinear(shifted.to_dense(), P, u, u).real
+    assert abs(d.sve.estimate.real - exact) <= 1e-12
+    assert d.decision == (LOW if at == "a" else HIGH)
+    assert abs(d.sve.margin) >= _margin_floor(delta)

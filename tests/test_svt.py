@@ -25,6 +25,11 @@ ONE = EvenPolynomial.from_even_coeffs([1.0])
 SQUARE = EvenPolynomial.from_even_coeffs([0.0, 1.0])
 
 
+def _forget_memos():
+    """Empty this thread's apply and moments memos."""
+    svt._memos.apply = svt._memos.moments = None
+
+
 def test_chain_identity():
     A = SparseMatrix.from_dense(np.eye(4))
     u = QueryVector([1.0, 2.0, 3.0, 4.0])
@@ -236,7 +241,7 @@ def test_threads_keep_separate_apply_slots(rng):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(e is not None and e <= 1e-9 for e in worst)
-    assert svt._last_apply.slot[0] is main_A  # the workers left this thread's slot alone
+    assert svt._memos.apply.key[0] is main_A  # the workers left this thread's memo alone
 
 
 LOW_FILTER = ThresholdSpec(0.6, 0.8, 0.1, 0.1, 0.64 / 3)  # degree 182
@@ -282,12 +287,13 @@ def test_moment_contraction_charges_the_same_queries_on_a_hit(rng):
     guide = exact_sampler(random_unit_vector(rng, 16))
     short = build_threshold_cached(LOW_FILTER)
     long = build_threshold_cached(SCAN_FILTER)
-    svt._last_apply.slot = None
+    _forget_memos()
     miss = svt.moment_contraction(A, guide, short, GUIDE_CFG)
+    kept = svt._memos.moments
     hit = svt.moment_contraction(A, guide, short, GUIDE_CFG)
-    assert svt._last_apply.slot[3][1].size == 92  # one pass, kept
+    assert svt._memos.moments is kept and kept.value.size == 92  # one pass, kept
     longer = svt.moment_contraction(A, guide, long, GUIDE_CFG)  # recomputes
-    assert svt._last_apply.slot[3][1].size == 366
+    assert svt._memos.moments.value.size == 366
     shorter = svt.moment_contraction(A, guide, short, GUIDE_CFG)  # a hit
     assert miss.counter == hit.counter == shorter.counter
     assert miss.counter.row_fetches == 46 * 16
@@ -331,8 +337,8 @@ def test_threads_keep_separate_moments(rng):
     assert not any(t.is_alive() for t in threads)
     assert all(e is not None and e <= 1e-12 for e in worst)
     # the workers left this thread's moments alone
-    assert svt._last_apply.slot[0] is main_A
-    assert svt._last_apply.slot[3][0] is main_guide.base.dense()
+    key = svt._memos.moments.key
+    assert key[0] is main_A and key[1] is main_guide.base.dense()
 
 
 def test_svt_entries_returns_a_writable_copy(rng):
@@ -725,7 +731,7 @@ def test_dense_and_sparse_contractions_agree(rng):
         assert nnz == ref.nnz
         u = random_unit_vector(rng, A.ncols)
         steps = P.degree // 2
-        svt._last_apply.slot = None
+        _forget_memos()
         counter = QueryCounter()
         w = svt._cheb_apply(A, u, P, counter)
         assert np.abs(w - svt._recurrence(ref, u, P.cheb_even())).max() <= 1e-12
@@ -781,7 +787,7 @@ def test_norm_above_one_raises_on_the_dense_contraction():
     calls += [lambda mode=mode: decide_singular_interval(
         problem, contraction=mode) for mode in ("exact", "sampled")]
     for call in calls:
-        svt._last_apply.slot = None
+        _forget_memos()
         with pytest.raises(ConfigError, match="exceeds 1"):
             call()
 
@@ -812,15 +818,26 @@ def _formed(kind):
 
 
 def _with(patches, call):
-    svt._last_apply.slot = None
+    """call() under ``patches`` with empty memos, and the operators that
+    _contraction built for it."""
+    from unittest import mock
+    built = []
+
+    def spy(A, steps, real=svt._contraction):
+        out = real(A, steps)
+        built.append(out[0])
+        return out
+
+    _forget_memos()
+    patches = patches + [mock.patch.object(svt, "_contraction", spy)]
     for p in patches:
         p.start()
     try:
-        return call()
+        return call(), built
     finally:
         for p in patches:
             p.stop()
-        svt._last_apply.slot = None
+        _forget_memos()
 
 
 FREE_CASES = dict(seed=st.integers(0, 2**32 - 1), nrows=st.integers(1, 12),
@@ -864,17 +881,18 @@ def test_short_pass_values_match_formed_and_oracle(seed, nrows, ncols, fill,
     tol = 1e-12 * np.abs(P.cheb_even()).sum()
 
     def run():
-        w, est = svt_entries(A, uq, P, idx), estimate_bilinear(A, uq, vs, P, cfg)
-        return w, est, svt._last_apply.slot[1][0]
+        return svt_entries(A, uq, P, idx), estimate_bilinear(A, uq, vs, P, cfg)
 
-    w, est, S = _with([], run)
-    assert est.operator == "matrix_free" and isinstance(S, svt._MatrixFree)
+    (w, est), built = _with([], run)
+    # the estimate reads the entries' apply from the memo
+    assert len(built) == 1 and isinstance(built[0], svt._MatrixFree)
+    assert est.operator == "matrix_free"
     oracle = exact_svt_apply(A.to_dense(), P, u)
     assert np.abs(w - oracle).max() <= tol
     for kind in ("dense", "sparse"):
-        w_formed, est_formed, S = _with(_formed(kind), run)
-        assert est_formed.operator == "formed"
-        assert isinstance(S, np.ndarray) == (kind == "dense" and A.nnz > 0)
+        (w_formed, est_formed), built = _with(_formed(kind), run)
+        assert est_formed.operator == "formed" and len(built) == 1
+        assert isinstance(built[0], np.ndarray) == (kind == "dense" and A.nnz > 0)
         assert np.abs(w - w_formed).max() <= tol
         assert abs(est.value - est_formed.value) <= 2 * tol
     # the estimator by hand from the oracle's entries, on the same draws
@@ -894,20 +912,64 @@ def test_matrix_free_pass_charges_every_row_and_column():
     u = QueryVector([0.6, 0.8j])
     P = EvenPolynomial([0.25, 0.25, 0.25, 0.25])
     assert P.degree == 6
-    svt._last_apply.slot = None
+    _forget_memos()
     counter = QueryCounter()
     svt_entries(A, u, P, [1, 2], counter=counter)
     assert counter == QueryCounter(3 * 5, 3 * 8)
-    assert isinstance(svt._last_apply.slot[1][0], svt._MatrixFree)
+    assert svt._memos.apply.engine == "matrix_free"
     moments = QueryCounter()
     svt._moments(A, u.dense(), 4, moments)  # 2 matvecs
     assert moments == QueryCounter(2 * 5, 2 * 8)
-    # a long pass on the same A forms S in its place, which every later
-    # pass on A reuses and charges N fetches and nnz(S) = 4 probes a step
+    # a long pass on the same A forms S and charges N fetches and
+    # nnz(S) = 4 probes a step; a later short pass builds its own
+    # matrix-free S and charges every row and column again
     long_pass = EvenPolynomial([0.0] * (svt.SHORT_PASS + 1) + [1.0])
-    svt_entries(A, u, long_pass, [1], counter=QueryCounter())
-    assert not isinstance(svt._last_apply.slot[1][0], svt._MatrixFree)
     formed = QueryCounter()
-    svt_entries(A, u, P, [1, 2], counter=formed)
-    assert formed == QueryCounter(3 * 2, 3 * 4)
-    svt._last_apply.slot = None
+    svt_entries(A, u, long_pass, [1], counter=formed)
+    assert formed == QueryCounter(17 * 2, 17 * 4)
+    assert svt._memos.apply.engine == "formed"
+    again = QueryCounter()
+    svt_entries(A, u, P, [1, 2], counter=again)
+    assert again == counter and svt._memos.apply.engine == "matrix_free"
+    _forget_memos()
+
+
+def test_no_operator_outlives_its_call(monkeypatch):
+    # a short apply, a long moment pass on the same A, then the same
+    # apply again: the hit charges and reports the matrix-free pass that
+    # computed it, whatever pass ran on A in between
+    import gc
+    import weakref
+    A = SparseMatrix.from_dense(np.array([[0.5, 0.25], [0.0, 0.0], [0.25, -0.5j]]))
+    u = QueryVector([0.6, 0.8j])
+    P = EvenPolynomial([0.25, 0.25, 0.25, 0.25])  # 3 steps
+    cfg = EstimatorConfig.for_target(0.5, 0.1, seed=1)
+    built = []
+
+    def spy(A, steps, real=svt._contraction):
+        out = real(A, steps)
+        built.append(weakref.ref(out[0]))
+        return out
+
+    monkeypatch.setattr(svt, "_contraction", spy)
+    _forget_memos()
+    first = estimate_bilinear(A, u, exact_sampler(u.dense()), P, cfg)
+    long_count = 2 * (svt.SHORT_PASS + 1)  # 17 steps: S is formed
+    moments = QueryCounter()
+    svt._moments(A, u.dense(), long_count, moments)
+    assert moments == QueryCounter(17 * 2, 17 * 4)
+    assert svt._memos.moments.engine == "formed"
+    second = estimate_bilinear(A, u, exact_sampler(u.dense()), P, cfg)
+    assert len(built) == 2  # the second estimate hit the apply memo
+    for est in (first, second):
+        assert est.operator == "matrix_free"
+        assert est.counter == QueryCounter(3 * 5, 3 * 8)
+    assert second.value == first.value
+    gc.collect()
+    assert all(ref() is None for ref in built)
+    # the thread state holds the two memos, and they hold no operator
+    assert set(vars(svt._memos)) == {"apply", "moments"}
+    for memo in vars(svt._memos).values():
+        assert not any(isinstance(x, svt._MatrixFree) for x in memo)
+        assert memo.value.ndim == 1
+    _forget_memos()
