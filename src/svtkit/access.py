@@ -236,10 +236,9 @@ class SparseMatrix:
     def csr(self):
         """The matrix as a scipy csr_matrix over the same read-only arrays
         (shared, do not mutate), built and cached on the first call, which
-        imports scipy.sparse.  In svtkit only a pass that forms a sparse
-        S = 2 A-dagger A - I (one longer than ``svt.SHORT_PASS`` steps on
-        a matrix too large or too sparse for a dense S) and Lanczos call
-        it; short passes read ``csr_arrays()``."""
+        imports scipy.sparse.  In svtkit only the Lanczos eigenvalues of
+        Hamiltonians above 12 qubits call it; the apply layer reads
+        ``csr_arrays()``."""
         return self._scipy_csr
 
     @cached_property

@@ -25,16 +25,15 @@ from the Chebyshev moments mu_r = u-dagger T_r(S) u as sum_r c_r mu_r
 a degree-D filter from ceil(D/4) matvecs in O(N) memory, and one set
 of moments serves every filter on the same (A, u).
 
-A pass of at most SHORT_PASS steps applies S matrix-free: each step
-computes y = A x and then S x = 2 A-dagger y - x straight from A's CSR
-arrays, so S is never formed and scipy is never imported.  A longer
-pass forms S, as a dense array when A is small and its rows share
-enough columns, and as a scipy CSR matrix otherwise (``_contraction``
-holds both rules and their measured trade-offs).  A formed S holds the
-same values either way, so nnz(S), which such a pass charges per step,
-is the same; S @ x differs in rounding only.  A matrix-free step
-charges every row and every column of A once: nrows + ncols row
-fetches and 2 nnz(A) entry probes.
+S is applied by one of two engines.  The matrix-free one computes each
+step's y = A x and then S x = 2 A-dagger y - x straight from A's CSR
+arrays, so S is never formed.  A pass of more than SHORT_PASS steps on
+a small A whose rows share enough columns forms S as a dense array
+instead (``_contraction`` holds the rule and its measured trade-offs).
+Both compute the same values up to rounding, and scipy is never
+imported.  Every pass is charged in queries to A, whichever engine runs
+it: each step reads every row and every column of A once, nrows + ncols
+row fetches and 2 nnz(A) entry probes.
 
 Each thread keeps two memos, keyed on object identity.  The apply
 memo holds the last Chebyshev apply (A, u, P) -> w and returns w,
@@ -43,14 +42,13 @@ of one vector costs one apply.  The moments memo holds the last moment
 pass (A, u) -> mu and returns its first count moments for the same A
 and u array, running the pass again at the new length when count
 exceeds them, so deciding several filters against one guide costs one
-moment pass.  Each memo also keeps the per-step charge and the engine
-("matrix_free" or "formed") of the pass that computed it, which a hit
-charges and reports.  On a miss, _contraction builds S for that one
-pass, and S is dropped when the call returns.  The memos' strong
-references keep the key ids from being reused, and the key objects are
-immutable.  Beyond the inputs they keep alive they hold at most
-N + D/2 numbers per thread.  Query counts are charged on every call,
-hit or not.
+moment pass.  Each memo also keeps the engine ("matrix_free" or
+"formed") of the pass that computed it, which a hit reports.  On a
+miss, _contraction builds S for that one pass, and S is dropped when
+the call returns.  The memos' strong references keep the key ids from
+being reused, and the key objects are immutable.  Beyond the inputs
+they keep alive they hold at most N + D/2 numbers per thread.  Query
+counts are charged on every call, hit or not.
 
 Randomized layer: one sample draws j from the sampling-access
 distribution of v and takes X_j = w_j m^2 / v_j with
@@ -194,33 +192,28 @@ def chain_entry(matrices, u: QueryVector, i: int,
 
 # A pass of at most SHORT_PASS steps never forms S.  The crossover is the
 # formation time, less building the matrix-free operator, over the extra
-# time of a matrix-free step (one thread, a fresh A each pass): scipy's
-# sparse S at N = 256 (s = 2 and 4) takes 0.38-0.52 ms to form and
-# 6-10 us a step, against 13-21 us matrix-free, so skipping it wins up to
-# 40-49 steps; a dense S at N = 64 (random s = 4 and a planted sve matrix)
-# takes 0.10-0.14 ms and 2.5-3.9 us a step, against 8-13 us, so up to
-# 9-15 steps.  16 sits at the dense end: up to it a matrix-free pass is
-# at most about 0.07 ms slower than forming a dense S, and past it a
-# sparse S formed for a pass of 17-45 steps at most about 0.3 ms slower
-# than skipping it.  Estimate filters have degree 2-12 (1-6 steps); sve
-# and glh passes run 45 steps or more and the entry filter's 93, so the
-# rule sends each workload's passes to one engine.
+# time of a matrix-free step (one thread, a fresh A each pass): a dense S
+# at N = 64 (random s = 4 and a planted sve matrix) takes 0.10-0.14 ms to
+# form and 2.5-3.9 us a step, against 8-13 us matrix-free, so skipping it
+# wins up to 9-15 steps, and up to 16 steps a matrix-free pass is at most
+# about 0.07 ms slower.  Estimate filters have degree 2-12 (1-6 steps);
+# sve, glh and entry passes run 45 steps or more, so with the density
+# rule below each workload's passes go to one engine.
 SHORT_PASS = 16
 
-# A formed S is dense when A is small and its rows share enough columns.
-# On one core a dense matvec costs the same at any fill (1.4, 3.8 and 13
-# us at N = 64, 128 and 256), while a CSR matvec grows with nnz(S): dense
-# wins at every fill at N = 64, above about 10 % fill at N = 128 and 19 %
-# at N = 256, and building a dense S costs about what scipy's sparse
-# product does.  The rule reads the pair density sum_i L_i^2 / N^2 (L_i
-# the nonzeros in row i of A), the work of forming S and a bound on its
-# fill.  Its 1/16 keeps every glh Hamiltonian up to n = 8 dense: a dense
-# 2-local term puts 4 nonzeros in every row, so the density is at least
-# 16 / N (0.25-2.6 on most, 1/16 when all terms share one qubit pair);
-# every sve matrix (0.23-0.25) is dense too, and the N = 256 matrices of
-# the entry filter (at most 0.033) form a sparse S.  At n = 8, S is often
-# only 2-19 % full, where the dense matvec is up to 5x slower; not
-# importing scipy.sparse (20 MB, 0.2 s) into those processes pays for it.
+# A longer pass forms a dense S when A is small and its rows share enough
+# columns, and runs matrix-free otherwise.  On one core a dense matvec
+# costs the same at any fill (1.4, 3.8 and 13 us at N = 64, 128 and 256),
+# while a matrix-free step grows with nnz(A).  The rule reads the pair
+# density sum_i L_i^2 / N^2 (L_i the nonzeros in row i of A), the work of
+# forming S and a bound on its fill.  Its 1/16 keeps every glh
+# Hamiltonian up to n = 8 dense: a dense 2-local term puts 4 nonzeros in
+# every row, so the density is at least 16 / N (0.25-2.6 on most, 1/16
+# when all terms share one qubit pair), and every sve matrix (0.23-0.25)
+# is dense too.  There the dense S wins the 183-step moment pass by
+# 1.23-1.56x at N = 256 and about 2x at N = 64-128.  The N = 256 matrices
+# of the entry filter (at most 0.033) run matrix-free, at 1.7-3.2 ms per
+# 93-step apply against 2.8-4.2 ms on a dense S.
 DENSE_MAX_N = 256
 DENSE_MIN_PAIR_DENSITY = 1 / 16
 PAIR_BLOCK = 1 << 16
@@ -229,82 +222,66 @@ PAIR_BLOCK = 1 << 16
 class _MatrixFree:
     """S = 2 A-dagger A - I as an operator that is never formed.
 
-    ``S @ x`` computes y = A x with np.add.reduceat over the rows of A's
-    CSR arrays, then 2 A-dagger y - x with np.bincount over its column
-    indices, so neither the column index nor scipy is touched.  The sums
-    run in another order than a formed S's, so S @ x differs from it in
-    rounding only.
+    ``S @ x`` computes y = A x and then 2 A-dagger y - x, each as one
+    np.bincount over A's CSR arrays: y over the row of each nonzero, and
+    A-dagger y over its column, so neither the column index nor scipy is
+    touched.  The sums run in another order than a formed S's, so S @ x
+    differs from it in rounding only.
     """
 
     def __init__(self, A: SparseMatrix):
         indptr, indices, data = A.csr_arrays()
-        length = np.diff(indptr)
-        nonempty = length > 0
-        # reduceat yields the entry at a segment's start, not 0, for an
-        # empty segment (and fails on a start past the end), so it runs
-        # over the nonempty rows only and scatters them back
-        self._nonempty = None if nonempty.all() else nonempty
-        self._starts = indptr[:-1][nonempty]
+        self._rows = np.repeat(np.arange(A.nrows), np.diff(indptr))
         self._cols = indices
         self._data = np.asarray(data, dtype=complex)
         self._conj2 = 2.0 * self._data.conj()
-        self._rows = np.repeat(np.arange(A.nrows), length)
-        # the real and imaginary parts of column j sum into slots 2j, 2j + 1
-        self._keys = (2 * indices.astype(np.intp)[:, None] + np.arange(2)).ravel()
+        # the real and imaginary parts of row or column j sum into slots
+        # 2j and 2j + 1
+        pair = np.arange(2)
+        self._row_keys = (2 * self._rows[:, None] + pair).ravel()
+        self._col_keys = (2 * indices.astype(np.intp)[:, None] + pair).ravel()
         self._nrows, self._ncols = A.nrows, A.ncols
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        prod = self._data * x[self._cols]
-        if self._nonempty is None:
-            y = np.add.reduceat(prod, self._starts)
-        else:
-            y = np.zeros(self._nrows, dtype=complex)
-            y[self._nonempty] = np.add.reduceat(prod, self._starts)
-        back = self._conj2 * y[self._rows]
-        # with no weights at all (A = 0) bincount counts in integers
-        z = np.bincount(self._keys, back.view(float), 2 * self._ncols)
-        z = z.astype(float, copy=False).view(complex)
+        y = _scatter(self._row_keys, self._data * x[self._cols], self._nrows)
+        z = _scatter(self._col_keys, self._conj2 * y[self._rows], self._ncols)
         z -= x
         return z
 
 
-def _contraction(A: SparseMatrix, steps: int) -> tuple:
-    """(S, row fetches, entry probes) for S = 2 A-dagger A - I, Hermitian
-    with spectrum in [-1, 1] when ||A|| <= 1, and the queries one step of
-    a pass with it charges.
+def _scatter(keys: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """The n complex sums of ``values`` into the slot pairs ``keys`` names."""
+    # with no weights at all (A = 0) bincount counts in integers
+    out = np.bincount(keys, values.view(float), 2 * n)
+    return out.astype(float, copy=False).view(complex)
 
-    A pass of at most SHORT_PASS ``steps`` gets the matrix-free S, which
-    reads every row and every column of A once a step: nrows + ncols
-    fetches and 2 nnz(A) probes.  A longer one forms S, charging N
-    fetches and nnz(S) probes a step: a dense array when N <= DENSE_MAX_N
-    and sum_i L_i^2 >= DENSE_MIN_PAIR_DENSITY N^2, and a scipy CSR matrix
-    otherwise (scipy imported here on first use).  Either way nnz(S)
-    counts the nonzero entries of the same values.
+
+def _contraction(A: SparseMatrix, steps: int):
+    """S = 2 A-dagger A - I for a pass of ``steps`` steps, Hermitian with
+    spectrum in [-1, 1] when ||A|| <= 1.
+
+    A pass of more than SHORT_PASS steps forms S as a dense array when
+    N <= DENSE_MAX_N and sum_i L_i^2 >= DENSE_MIN_PAIR_DENSITY N^2.  Every
+    other pass gets the matrix-free S.  Either engine computes the same
+    values up to rounding and is charged the same queries (see _charge).
     """
-    if steps <= SHORT_PASS:
-        return _MatrixFree(A), A.nrows + A.ncols, 2 * A.nnz
     n = A.ncols
-    length = np.diff(A.csr_arrays()[0]).astype(np.int64)
-    if n <= DENSE_MAX_N and n * n <= np.dot(length, length) / DENSE_MIN_PAIR_DENSITY:
-        S, nnz = _dense_contraction(A)
-        return S, n, nnz
-    import scipy.sparse as sp  # only long passes on sparse matrices need it
-
-    csr = A.csr()
-    gram = (csr.conj().T @ csr).tocsr()
-    S = (2.0 * gram - sp.identity(n, dtype=complex, format="csr")).tocsr()
-    return S, n, S.nnz
+    if steps > SHORT_PASS and n <= DENSE_MAX_N:
+        length = np.diff(A.csr_arrays()[0]).astype(np.int64)
+        if n * n * DENSE_MIN_PAIR_DENSITY <= np.dot(length, length):
+            return _dense_contraction(A)
+    return _MatrixFree(A)
 
 
-def _dense_contraction(A: SparseMatrix) -> tuple:
-    """(S, nnz(S)) with S a dense array holding the values of scipy's
-    sparse S bit for bit, up to the sign of zero parts.
+def _dense_contraction(A: SparseMatrix) -> np.ndarray:
+    """S as a dense array holding the values of scipy's sparse
+    S = 2 A-dagger A - I bit for bit, up to the sign of zero parts.
 
     Row k of A adds conj(A_kj) A_kc to G_jc for every pair (j, c) of its
     nonzeros.  The real and imaginary parts are summed in ascending k from
     0, with the products formed as scipy's sparse product forms them, so
-    G holds its values and S its nonzeros.  Rows go in blocks of at most
-    PAIR_BLOCK pairs, which bounds the memory for any A.
+    G holds its values.  Rows go in blocks of at most PAIR_BLOCK pairs,
+    which bounds the memory for any A.
     """
     n = A.ncols
     indptr, indices, data = A.csr_arrays()
@@ -330,48 +307,47 @@ def _dense_contraction(A: SparseMatrix) -> tuple:
     G = G.view(complex).reshape(n + 1, n + 1)
     G *= 2.0
     G.flat[::n + 2] -= 1.0
-    S = G[:n, :n]  # row stride n + 1, which BLAS takes as it is
-    return S, int(np.count_nonzero(S != 0))
+    return G[:n, :n]  # row stride n + 1, which BLAS takes as it is
 
 
 class _Memo(NamedTuple):
     """A result kept per thread, the objects it was computed from, and
-    the per-step charge and the engine of the pass that computed it."""
+    the engine of the pass that computed it."""
 
     key: tuple
     value: np.ndarray  # read-only
-    charge: tuple  # (row fetches, entry probes) a step
     engine: str  # "matrix_free" or "formed"
 
 
-def _charge(counter: QueryCounter | None, charge, steps: int):
+def _charge(counter: QueryCounter | None, A: SparseMatrix, steps: int):
+    """Charge ``steps`` steps of a pass with S = 2 A-dagger A - I: each
+    reads every row and every column of A once, nrows + ncols row fetches
+    and 2 nnz(A) entry probes, whichever engine applies S."""
     if counter is not None:
-        counter.row_fetches += steps * charge[0]
-        counter.entry_probes += steps * charge[1]
+        counter.row_fetches += steps * (A.nrows + A.ncols)
+        counter.entry_probes += steps * 2 * A.nnz
 
 
 def _kept(name: str, key: tuple, steps: int, counter: QueryCounter | None,
           run, size: int = 0) -> np.ndarray:
     """The value of this thread's ``name`` memo when it was computed from
-    the ``key`` objects and holds at least ``size`` numbers, charged
-    ``steps`` steps at its pass's per-step cost.
+    the ``key`` objects and holds at least ``size`` numbers.
 
-    Otherwise one pass of ``steps`` steps on A = key[0] is charged, run(S)
-    computes the value with a fresh S from _contraction, and the result
-    replaces the memo.  S is dropped on return; a pass that raises
-    stores nothing.
+    Otherwise run(S) computes the value with a fresh S from _contraction
+    for a pass of ``steps`` steps on A = key[0], and the result replaces
+    the memo.  S is dropped on return; a pass that raises stores nothing.
+    Either way the call charges ``steps`` steps on A.
     """
+    _charge(counter, key[0], steps)
     memo = getattr(_memos, name, None)
     if (memo is not None and all(a is b for a, b in zip(memo.key, key))
             and memo.value.size >= size):
-        _charge(counter, memo.charge, steps)
         return memo.value
-    S, *charge = _contraction(key[0], steps)
-    _charge(counter, charge, steps)
+    S = _contraction(key[0], steps)
     value = run(S)
     value.flags.writeable = False
     engine = "matrix_free" if isinstance(S, _MatrixFree) else "formed"
-    setattr(_memos, name, _Memo(key, value, tuple(charge), engine))
+    setattr(_memos, name, _Memo(key, value, engine))
     return value
 
 
@@ -380,10 +356,9 @@ def _cheb_apply(A: SparseMatrix, u_arr: np.ndarray, P: EvenPolynomial,
     """P(sqrt(A-dagger A)) u via the T_r(2 A-dagger A - I) recurrence.
 
     The result is read-only.  This thread's apply memo keeps it: the
-    same A, u_arr and P objects return it again, charged at the per-step
-    cost of the pass that computed it.  Otherwise the recurrence runs on
-    a fresh S and replaces the memo.  Each call charges the degree // 2
-    steps of the pass, hit or miss.  Raises ConfigError, storing
+    same A, u_arr and P objects return it again.  Otherwise the
+    recurrence runs on a fresh S and replaces the memo.  Each call
+    charges the degree // 2 steps of the pass, hit or miss.  Raises ConfigError, storing
     nothing, when some ||T_r(S) u||^2 exceeds
     (1 + NORM_TOLERANCE) ||u||^2, which means ||A|| > 1.
     """
@@ -397,9 +372,8 @@ def _moments(A: SparseMatrix, u_arr: np.ndarray, count: int,
 
     Returns them read-only.  This thread's moments memo keeps the last
     pass: the same A and u_arr objects return its first ``count``
-    moments, charged at the per-step cost of that pass, unless ``count``
-    exceeds them, when the pass runs again at the new length and
-    replaces the memo.  Each call charges count // 2 matvecs, hit or
+    moments, unless ``count`` exceeds them, when the pass runs again at
+    the new length and replaces the memo.  Each call charges count // 2 matvecs, hit or
     miss.  Raises ConfigError, storing nothing, when ||A|| > 1 shows in
     the moments.
     """
@@ -547,11 +521,14 @@ def svt_entries(A: SparseMatrix, u: QueryVector, P: EvenPolynomial,
 
     Shares one Chebyshev recurrence across all requested entries, which
     is what the sampling estimator needs when the same index recurs.
-    Returns a writable copy; ||A|| > 1 raises ConfigError.
+    Returns a writable copy; ||A|| > 1 raises ConfigError.  Indices that
+    are not integers raise IndexError, as they do in svt_entry.
     """
-    indices = np.asarray(indices, dtype=np.int64)
+    indices = np.asarray(indices)
     if indices.size == 0:
         return np.empty(0, dtype=complex)
+    if not np.issubdtype(indices.dtype, np.integer):
+        raise IndexError(f"entry indices must be integers, got {indices.dtype}")
     if indices.min() < 1 or indices.max() > A.ncols:
         raise IndexError("entry index out of range")
     w = _cheb_apply(A, u.dense(), P, counter)

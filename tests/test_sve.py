@@ -285,3 +285,78 @@ def test_glh_decides_a_ground_energy_at_a_threshold(ab, delta, at):
     assert abs(d.sve.estimate.real - exact) <= 1e-12
     assert d.decision == (LOW if at == "a" else HIGH)
     assert abs(d.sve.margin) >= _margin_floor(delta)
+
+
+def _binomial_cutoff(n, p, tail=1e-6):
+    """Smallest m with P[Bin(n, p) >= m] <= tail, in exact arithmetic."""
+    from fractions import Fraction
+    from math import comb
+    p = Fraction(p)
+    left = Fraction(1)  # P[Bin(n, p) >= m] for m = 0, 1, ...
+    for m in range(n + 1):
+        if left <= tail:
+            return m
+        left -= comb(n, m) * p ** m * (1 - p) ** (n - m)
+    return n + 1
+
+
+def _rotated_edge_instance(rng, spec, edge, n):
+    """(A, u) for an edge of the promise, as in the exact-mode test, with
+    random unitary singular vectors so that the guide spreads over all n
+    entries and its samples vary."""
+    t1, t2, theta1, theta2, delta = spec
+    P = build_threshold_cached(SveProblem(
+        matrix=SparseMatrix.from_dense(np.eye(1)), guide=exact_sampler([1.0]),
+        t1=t1, t2=t2, theta1=theta1, theta2=theta2, delta=delta).threshold_spec())
+    sigma, weights = np.zeros(n), np.zeros(n)
+    if edge.startswith("i-"):
+        sigma[0] = t1 if edge == "i-t1" else t2
+        bands = [_band_minimum(P, t1 - theta1, t1), _band_minimum(P, t2, t2 + theta2)]
+        sigma[1] = min(bands, key=P)
+        weights[0], weights[1] = delta, np.sqrt(1.0 - delta ** 2)
+    else:
+        sigma[0] = t1 - theta1 if edge == "ii-lo" else t2 + theta2
+        weights[0] = 1.0
+    U, V = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+            for _ in range(2))
+    return SparseMatrix.from_dense(U @ np.diag(sigma) @ V.conj().T), V @ weights, P
+
+
+def test_sampled_mode_misdecides_within_a_binomial_bound(rng):
+    # each sampled decision on an edge instance is wrong with probability
+    # at most fail_prob, independently across seeds, so the count of
+    # misdecisions over all of them reaches the cutoff m of
+    # Bin(decisions, fail_prob) with probability at most 1e-6; fail_prob
+    # 0.2 takes the median of 3 batches
+    fail_prob, seeds = 0.2, 100
+    specs = [(0.3, 0.5, 0.3, 0.2, 0.7),   # t1 - theta1 = 0
+             (0.4, 0.6, 0.1, 0.4, 0.7)]   # t2 + theta2 = 1
+    misses, decisions = 0, 0
+    for spec in specs:
+        t1, t2, theta1, theta2, delta = spec
+        for edge in ("i-t1", "i-t2", "ii-lo", "ii-hi"):
+            A, u, P = _rotated_edge_instance(rng, spec, edge, 16)
+            dense = A.to_dense()
+            # the dense oracle confirms the promise, with the exact form
+            # at least 7/6 eps on the decided side
+            if edge.startswith("i-"):
+                inside = exact_projector(dense, t1 - 1e-12, t2 + 1e-12) @ u
+                assert np.linalg.norm(inside) >= delta - 1e-12
+            else:
+                s = DenseSvd.compute(dense).sigma
+                assert not np.any((s > t1 - theta1 + 1e-12) & (s < t2 + theta2 - 1e-12))
+            problem = SveProblem(matrix=A, guide=exact_sampler(u), t1=t1, t2=t2,
+                                 theta1=theta1, theta2=theta2, delta=delta)
+            want = HAS_SV if edge.startswith("i-") else NO_SV
+            exact = exact_bilinear(dense, P, u, u).real
+            margin = (exact - problem.decision_threshold) / problem.eps
+            assert (margin > 0) == (want == HAS_SV)
+            assert abs(margin) >= _margin_floor(delta) - 1e-9
+            for _ in range(seeds):
+                res = decide_singular_interval(problem, fail_prob=fail_prob,
+                                               seed=decisions,
+                                               contraction="sampled")
+                assert res.estimator.batches == 3
+                misses += res.decision != want
+                decisions += 1
+    assert misses < _binomial_cutoff(decisions, fail_prob)

@@ -137,6 +137,22 @@ def test_svt_entries_block_matches_single(rng):
     assert_allclose(block, singles, atol=1e-12)
 
 
+def test_svt_entries_rejects_indices_that_are_not_integers(rng):
+    # a float index is an error in svt_entry, so it is one here too,
+    # rather than truncated to entries 1 and 2
+    A = random_sparse_matrix(rng, 8, 8, 2)
+    u = QueryVector(random_unit_vector(rng, 8))
+    P = _cheb_only(rng, 16)  # degree 32: the whole-vector path
+    with pytest.raises(IndexError):
+        svt_entry(A, u, P, 1.9)
+    for bad in ([1.9, 2.2], np.array([1.0, 2.0]), [True, False]):
+        with pytest.raises(IndexError, match="integers"):
+            svt_entries(A, u, P, bad)
+    assert svt_entries(A, u, P, []).size == 0
+    assert_allclose(svt_entries(A, u, P, np.array([1, 2], dtype=np.uint8)),
+                    svt_entries(A, u, P, [1, 2]))
+
+
 def test_svt_entry_high_degree_uses_stable_path(rng):
     from svtkit.polynomial import ThresholdSpec, build_threshold_cached
     P = build_threshold_cached(ThresholdSpec(0.5, 0.7, 0.1, 0.1, 0.05))
@@ -162,7 +178,7 @@ def test_cheb_entry_is_bitwise_one_recurrence(rng):
     A = random_sparse_matrix(rng, 20, 20, 3)
     u = QueryVector(random_unit_vector(rng, 20))
     P = build_threshold_cached(FILTER)
-    S, cr = _contraction(A, P.degree // 2)[0], P.cheb_even()
+    S, cr = _contraction(A, P.degree // 2), P.cheb_even()
     prev, cur = u.dense(), S @ u.dense()
     fresh = cr[0] * prev + cr[1] * cur
     for r in range(2, cr.size):
@@ -204,7 +220,7 @@ def test_repeated_cheb_entry_charges_the_same_queries(rng):
     first, again = QueryCounter(), QueryCounter()
     svt_entry(A, u, P, 5, counter=first)
     svt_entry(A, u, P, 9, counter=again)
-    assert first == again and first.row_fetches == 20 * 16
+    assert first == again and first.row_fetches == 20 * (16 + 16)
 
 
 def test_threads_keep_separate_apply_slots(rng):
@@ -260,7 +276,7 @@ def test_moment_contraction_matches_oracle(rng, spec, degree):
     assert res.value.imag == 0.0 and res.degree == degree
     assert res.total_samples == 0
     steps = -(-degree // 4)
-    assert res.counter == QueryCounter(steps * 40, steps * _contraction(A, steps)[2])
+    assert res.counter == QueryCounter(steps * 80, steps * 2 * A.nnz)
 
 
 def test_interleaved_moment_contractions_are_never_stale(rng):
@@ -296,8 +312,8 @@ def test_moment_contraction_charges_the_same_queries_on_a_hit(rng):
     assert svt._memos.moments.value.size == 366
     shorter = svt.moment_contraction(A, guide, short, GUIDE_CFG)  # a hit
     assert miss.counter == hit.counter == shorter.counter
-    assert miss.counter.row_fetches == 46 * 16
-    assert longer.counter.row_fetches == 183 * 16
+    assert miss.counter.row_fetches == 46 * 32
+    assert longer.counter.row_fetches == 183 * 32
     assert miss.value == hit.value
     assert abs(shorter.value - miss.value) <= 1e-14
 
@@ -723,23 +739,26 @@ def _contraction_cases(rng):
 
 
 def test_dense_and_sparse_contractions_agree(rng):
+    # a long pass forms a dense S on one side of the density rule and
+    # runs matrix-free on the other; both match scipy's S and charge
+    # nrows + ncols row fetches and 2 nnz(A) entry probes a step
     P = build_threshold_cached(FILTER)
+    steps = P.degree // 2
     for A, dense in _contraction_cases(rng):
-        S, _, nnz = _contraction(A, P.degree // 2)
-        assert isinstance(S, np.ndarray) == dense
+        S = _contraction(A, steps)
+        assert isinstance(S, np.ndarray if dense else svt._MatrixFree)
         ref = _scipy_contraction(A)
-        assert nnz == ref.nnz
         u = random_unit_vector(rng, A.ncols)
-        steps = P.degree // 2
+        fetches, probes = A.nrows + A.ncols, 2 * A.nnz
         _forget_memos()
         counter = QueryCounter()
         w = svt._cheb_apply(A, u, P, counter)
         assert np.abs(w - svt._recurrence(ref, u, P.cheb_even())).max() <= 1e-12
-        assert counter == QueryCounter(steps * A.ncols, steps * ref.nnz)
+        assert counter == QueryCounter(steps * fetches, steps * probes)
         counter = QueryCounter()
         mu = svt._moments(A, u, 366, counter)
         assert np.abs(mu - svt._moment_pass(ref, u, 366)).max() <= 1e-12
-        assert counter == QueryCounter(183 * A.ncols, 183 * ref.nnz)
+        assert counter == QueryCounter(183 * fetches, 183 * probes)
 
 
 @settings(max_examples=100, deadline=None)
@@ -756,25 +775,23 @@ def test_dense_contraction_holds_scipy_values(seed, n, fill, integer):
     if not dense.any():
         return
     A = SparseMatrix.from_dense(dense)
-    S, nnz = svt._dense_contraction(A)  # whichever side of the rule A is on
-    ref = _scipy_contraction(A)
-    assert nnz == ref.nnz and np.array_equal(S, ref.toarray())
+    S = svt._dense_contraction(A)  # whichever side of the rule A is on
+    assert np.array_equal(S, _scipy_contraction(A).toarray())
 
 
 def test_dense_contraction_in_row_blocks(rng, monkeypatch):
     # blocks of one or a few rows sum in the same order as one block
     A = SparseMatrix.from_dense(np.round(2 * rng.normal(size=(40, 24))) + 1j)
-    ref = _scipy_contraction(A)
+    ref = _scipy_contraction(A).toarray()
     for pairs in (1, 600, 1 << 16):
         monkeypatch.setattr(svt, "PAIR_BLOCK", pairs)
-        S, nnz = svt._dense_contraction(A)
-        assert nnz == ref.nnz and np.array_equal(S, ref.toarray())
+        assert np.array_equal(svt._dense_contraction(A), ref)
 
 
 def test_norm_above_one_raises_on_the_dense_contraction():
     from svtkit.sve import SveProblem, decide_singular_interval
     bad = SparseMatrix.from_dense(np.diag([1.02, 0.5, 0.2]))
-    assert isinstance(_contraction(bad, 365)[0], np.ndarray)  # N = 3 is dense
+    assert isinstance(_contraction(bad, 365), np.ndarray)  # N = 3 is dense
     P = build_threshold_cached(SCAN_FILTER)
     u = np.ones(3) / np.sqrt(3.0)
     uq = QueryVector(u)
@@ -805,16 +822,11 @@ def _free_case(seed, nrows, ncols, fill, empty_row, empty_col):
     return SparseMatrix.from_dense(dense), rng
 
 
-def _formed(kind):
-    """Patches that make every pass form S: dense (for any nonzero A), or
-    scipy's sparse one."""
+def _formed():
+    """Patches that make every pass form a dense S, even for A = 0."""
     from unittest import mock
-    patches = [mock.patch.object(svt, "SHORT_PASS", -1)]
-    if kind == "dense":
-        patches.append(mock.patch.object(svt, "DENSE_MIN_PAIR_DENSITY", 1e-300))
-    else:
-        patches.append(mock.patch.object(svt, "DENSE_MAX_N", 0))
-    return patches
+    return [mock.patch.object(svt, "SHORT_PASS", -1),
+            mock.patch.object(svt, "DENSE_MIN_PAIR_DENSITY", 0.0)]
 
 
 def _with(patches, call):
@@ -825,7 +837,7 @@ def _with(patches, call):
 
     def spy(A, steps, real=svt._contraction):
         out = real(A, steps)
-        built.append(out[0])
+        built.append(out)
         return out
 
     _forget_memos()
@@ -858,7 +870,7 @@ def test_matrix_free_s_matches_formed_s(seed, nrows, ncols, fill, empty_row,
     exact = 2.0 * (dense.conj().T @ (dense @ x)) - x
     got = svt._MatrixFree(A) @ x
     tol = 1e-12 * np.linalg.norm(x)  # ||S|| <= 1
-    for S in (svt._dense_contraction(A)[0], _scipy_contraction(A), None):
+    for S in (svt._dense_contraction(A), _scipy_contraction(A), None):
         ref = exact if S is None else S @ x
         assert np.abs(got - ref).max() <= tol
 
@@ -889,12 +901,12 @@ def test_short_pass_values_match_formed_and_oracle(seed, nrows, ncols, fill,
     assert est.operator == "matrix_free"
     oracle = exact_svt_apply(A.to_dense(), P, u)
     assert np.abs(w - oracle).max() <= tol
-    for kind in ("dense", "sparse"):
-        (w_formed, est_formed), built = _with(_formed(kind), run)
-        assert est_formed.operator == "formed" and len(built) == 1
-        assert isinstance(built[0], np.ndarray) == (kind == "dense" and A.nnz > 0)
-        assert np.abs(w - w_formed).max() <= tol
-        assert abs(est.value - est_formed.value) <= 2 * tol
+    (w_formed, est_formed), built = _with(_formed(), run)
+    assert len(built) == 1 and isinstance(built[0], np.ndarray)
+    assert est_formed.operator == "formed"
+    assert est_formed.counter == est.counter
+    assert np.abs(w - w_formed).max() <= tol
+    assert abs(est.value - est_formed.value) <= 2 * tol
     # the estimator by hand from the oracle's entries, on the same draws
     counts = vs.sample_counts(np.random.default_rng(cfg.seed), cfg.samples,
                               cfg.batches)
@@ -920,13 +932,12 @@ def test_matrix_free_pass_charges_every_row_and_column():
     moments = QueryCounter()
     svt._moments(A, u.dense(), 4, moments)  # 2 matvecs
     assert moments == QueryCounter(2 * 5, 2 * 8)
-    # a long pass on the same A forms S and charges N fetches and
-    # nnz(S) = 4 probes a step; a later short pass builds its own
-    # matrix-free S and charges every row and column again
+    # a long pass on the same A forms a dense S and charges the same a
+    # step; a later short pass builds its own matrix-free S
     long_pass = EvenPolynomial([0.0] * (svt.SHORT_PASS + 1) + [1.0])
     formed = QueryCounter()
     svt_entries(A, u, long_pass, [1], counter=formed)
-    assert formed == QueryCounter(17 * 2, 17 * 4)
+    assert formed == QueryCounter(17 * 5, 17 * 8)
     assert svt._memos.apply.engine == "formed"
     again = QueryCounter()
     svt_entries(A, u, P, [1, 2], counter=again)
@@ -936,8 +947,8 @@ def test_matrix_free_pass_charges_every_row_and_column():
 
 def test_no_operator_outlives_its_call(monkeypatch):
     # a short apply, a long moment pass on the same A, then the same
-    # apply again: the hit charges and reports the matrix-free pass that
-    # computed it, whatever pass ran on A in between
+    # apply again: the hit reports the matrix-free pass that computed
+    # it, whatever pass ran on A in between
     import gc
     import weakref
     A = SparseMatrix.from_dense(np.array([[0.5, 0.25], [0.0, 0.0], [0.25, -0.5j]]))
@@ -948,7 +959,7 @@ def test_no_operator_outlives_its_call(monkeypatch):
 
     def spy(A, steps, real=svt._contraction):
         out = real(A, steps)
-        built.append(weakref.ref(out[0]))
+        built.append(weakref.ref(out))
         return out
 
     monkeypatch.setattr(svt, "_contraction", spy)
@@ -957,7 +968,7 @@ def test_no_operator_outlives_its_call(monkeypatch):
     long_count = 2 * (svt.SHORT_PASS + 1)  # 17 steps: S is formed
     moments = QueryCounter()
     svt._moments(A, u.dense(), long_count, moments)
-    assert moments == QueryCounter(17 * 2, 17 * 4)
+    assert moments == QueryCounter(17 * 5, 17 * 8)
     assert svt._memos.moments.engine == "formed"
     second = estimate_bilinear(A, u, exact_sampler(u.dense()), P, cfg)
     assert len(built) == 2  # the second estimate hit the apply memo
@@ -973,3 +984,27 @@ def test_no_operator_outlives_its_call(monkeypatch):
         assert not any(isinstance(x, svt._MatrixFree) for x in memo)
         assert memo.value.ndim == 1
     _forget_memos()
+
+
+def test_both_engines_charge_the_same_queries(rng):
+    # the same (A, u, P) matrix-free and on a forced dense S: equal
+    # counters, and each report names the engine that ran
+    A, _ = _free_case(5, 12, 9, 0.4, False, False)
+    u, v = random_unit_vector(rng, 9), random_unit_vector(rng, 9)
+    P = random_even_polynomial(rng, 6)  # 6 steps an apply, 3 a moment pass
+    cfg = EstimatorConfig.for_target(0.5, 0.1, seed=1)
+
+    def run():
+        entries = QueryCounter()
+        svt_entries(A, QueryVector(u), P, [2, 5], counter=entries)
+        return (entries, estimate_bilinear(A, QueryVector(u), exact_sampler(v), P, cfg),
+                svt.moment_contraction(A, exact_sampler(u), P, cfg))
+
+    fetches, probes = 12 + 9, 2 * A.nnz
+    for patches, engine, kind in (([], "matrix_free", svt._MatrixFree),
+                                  (_formed(), "formed", np.ndarray)):
+        (entries, est, moments), built = _with(patches, run)
+        assert built and all(isinstance(S, kind) for S in built)
+        assert entries == est.counter == QueryCounter(6 * fetches, 6 * probes)
+        assert moments.counter == QueryCounter(3 * fetches, 3 * probes)
+        assert est.operator == moments.operator == engine
